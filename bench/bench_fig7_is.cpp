@@ -11,7 +11,7 @@ int main() {
   bench::print_title("Figure 7: IS dataset, 16 nodes/8 passes vs 64 nodes/2 passes");
 
   bench::ScratchDir dir("fig7");
-  // T=2 keeps total thread count sane (64 ranks x T threads on one core).
+  // T=2 keeps total thread count sane (64 ranks x T threads on one host).
   const auto ds = bench::make_dataset(sim::Preset::IS, dir.str(), 27, 8, 128);
 
   struct Case {
@@ -40,7 +40,7 @@ int main() {
   }
   table.print();
   std::printf("Wall: 16N/8S %.0f ms, 64N/2S %.0f ms (ratio %.2fx; paper: 3.25x on real\n"
-              "hardware — here ranks share one core, so the ratio reflects only the\n"
+              "hardware — here ranks share one host, so the ratio mostly reflects the\n"
               "4x reduction in redundant I/O passes, visible in KmerGen-I/O+KmerGen).\n",
               walls[0] * 1e3, walls[1] * 1e3, walls[0] / walls[1]);
   return 0;

@@ -13,10 +13,11 @@
 #      scan.
 #   3. Address+UBSanitizer build running the fault-injection (test_faults),
 #      FASTQ parsing (test_fastq), packed-arena (test_packed_store), and
-#      exchange-compression (test_superkmer, test_bloom, the comm-compress
-#      differential grid) suites — the paths that do raw buffer arithmetic
-#      and deliberately corrupt / truncate input, including the super-k-mer
-#      wire decode.
+#      exchange-compression (test_superkmer, the comm-compress differential
+#      grid) suites — the paths that do raw buffer arithmetic and
+#      deliberately corrupt / truncate input, including the super-k-mer
+#      wire decode.  A Release (-O3) build of every target follows, so the
+#      optimizer's extra diagnostics are held to the default -Werror too.
 #   4. metaprepd daemon smoke: start the job-queue daemon on an AF_UNIX
 #      socket, submit a job via `metaprep_cli daemon`, poll it to
 #      completion, fetch the partition manifest, cancel a queued job under
@@ -56,9 +57,8 @@ echo "=== tier 1: packed-vs-text differential (read-store grid + lenient consist
 ./build/tests/test_differential --gtest_filter='*Packed*'
 ./build/tests/test_packed_store
 
-echo "=== tier 1: exchange-compression unit suites (super-k-mer records + counting Bloom) ==="
+echo "=== tier 1: exchange-compression unit suite (super-k-mer records) ==="
 ./build/tests/test_superkmer
-./build/tests/test_bloom
 
 echo "=== tier 1: checked comm-compress differential (protocol checker over compressed payloads) ==="
 METAPREP_CHECK=1 ./build/tests/test_differential --gtest_filter='CompressGrid/*'
@@ -184,7 +184,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
 echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + compress legs) ==="
 cmake --preset asan
 cmake --build --preset asan "${JOBS}" --target test_faults test_fastq test_packed_store \
-  test_superkmer test_bloom test_differential
+  test_superkmer test_differential
 
 echo "=== tier 1: ASan test_faults ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
@@ -192,11 +192,14 @@ echo "=== tier 1: ASan test_fastq ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_fastq
 echo "=== tier 1: ASan test_packed_store (arena corruption + packed scan bounds) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_packed_store
-echo "=== tier 1: ASan exchange-compression (wire encode/decode + Bloom probe bounds) ==="
+echo "=== tier 1: ASan exchange-compression (super-k-mer wire encode/decode) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_superkmer
-ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_bloom
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
   --gtest_filter='CompressGrid/*'
+
+echo "=== tier 1: Release build (-O3, every target incl. tests and tools, default -Werror) ==="
+cmake --preset release
+cmake --build --preset release "${JOBS}"
 
 echo "=== tier 1: bench guard (fig5 min-of-N vs BENCH_fig5.json) ==="
 scripts/bench_guard.sh

@@ -47,42 +47,38 @@ enum class MergeStrategy {
   kContraction,
 };
 
-/// How the S I/O passes are scheduled (§3.2-§3.5 loop).
+/// How the S I/O passes are scheduled (§3.2-§3.5 loop): the group size G
+/// of the one pass engine, i.e. how many passes share a chunk sweep.
 enum class PipelineMode {
-  /// One phase at a time to a barrier, exactly the paper's schedule: each
-  /// pass runs KmerGen -> KmerGen-Comm -> LocalSort -> LocalCC to
-  /// completion before the next pass starts.  The default; behaviour is
-  /// bit-identical to the pre-pipelining implementation.
+  /// G = 1, exactly the paper's schedule: each pass runs KmerGen ->
+  /// KmerGen-Comm -> LocalSort -> LocalCC to completion before the next
+  /// pass starts, and substitutes the components as of the previous pass.
+  /// The default.
   kBarrier,
-  /// Pipelined schedule: passes are grouped in pairs; one chunk read+scan
-  /// generates both passes' tuples (pass s+1's KmerGen overlaps pass s's
-  /// KmerGen-Comm window), the exchange is posted with async isend/irecv
-  /// and completed lazily, and KmerGen partitions tuples per destination
-  /// *thread* so LocalSort's partition copy disappears.  Buffers are leased
-  /// from util::BufferPool.  Produces the same component partition as
-  /// kBarrier (labels up to renaming; see DESIGN.md "Pipelined passes").
+  /// G = 2: one chunk read+scan generates two passes' tuples (pass s+1's
+  /// KmerGen overlaps pass s's KmerGen-Comm window), and both substitute
+  /// the components as of the previous group.  Produces the same components
+  /// as kBarrier (DESIGN.md "Pass engine").
   kOverlap,
 };
 
 /// Exchange compression for the KmerGen all-to-all (CLI --comm-compress).
-/// All modes produce the same component partition as kNone (differential
-/// grid); see DESIGN.md "Exchange compression" for the record formats and
-/// the equivalence arguments.
+/// Both codecs produce the same component partition (differential grid);
+/// see DESIGN.md "Exchange compression" for the record format and the
+/// equivalence argument.
 enum class CommCompress {
   /// Fixed-size (k-mer, value) tuples over the precomputed-offset staged
-  /// all-to-all — the historical wire format.
+  /// all-to-all — the paper's wire format.
   kNone,
   /// Minimizer-routed super-k-mer records: consecutive k-mers sharing a
   /// minimizer ship as one (value, n_kmers, packed bases) payload that the
   /// receiver re-expands before LocalSort.
   kSuperKmer,
-  /// Per-destination-rank counting-Bloom prefilter: k-mers whose global
-  /// frequency is 1 (overwhelmingly sequencing errors) are suppressed from
-  /// the exchange — singletons cannot create read-graph edges.
-  kBloom,
-  /// Both: Bloom-surviving sub-runs ship as super-k-mer records.
-  kBoth,
 };
+
+/// Parse a --comm-compress value: "none" or "superkmer".  Anything else is
+/// a util::config_error naming the accepted values.
+CommCompress parse_comm_compress(const std::string& name);
 
 /// Where KmerGen gets its records each pass (CLI --read-store).
 enum class ReadStore {
@@ -143,25 +139,17 @@ struct MetaprepConfig {
   /// Pass scheduling (CLI --pipeline-mode=barrier|overlap).
   PipelineMode pipeline_mode = PipelineMode::kBarrier;
 
-  /// Exchange compression (CLI --comm-compress=none|superkmer|bloom|both).
+  /// Exchange compression (CLI --comm-compress=none|superkmer).
   /// Default off: the wire format and byte accounting of existing runs are
   /// unchanged.
   CommCompress comm_compress = CommCompress::kNone;
 
-  /// Minimizer length for super-k-mer grouping (comm_compress superkmer /
-  /// both).  Independent of the index's routing m-mer: compressed runs are
+  /// Minimizer length for super-k-mer grouping (comm_compress superkmer).
+  /// Independent of the index's routing m-mer: compressed runs are
   /// routed by minimizer-hash bins, not prefix bins.  Must be in
   /// [1, min(k, 31)]; longer minimizers shorten runs, shorter ones skew the
   /// run-length distribution.
   int superkmer_minimizer_len = 10;
-
-  /// Counting-Bloom sizing (comm_compress bloom / both): counters per
-  /// expected k-mer occurrence and probe count.  8 counters x 2 probes keeps
-  /// the false-positive rate (which only *retains* harmless singletons,
-  /// never drops a repeated k-mer) under ~2% at full load; see DESIGN.md.
-  int bloom_counters_per_key = 8;
-  int bloom_hashes = 2;
-  std::uint64_t bloom_seed = 0x6d70726570ULL;
 
   /// Record source for the KmerGen scans (CLI --read-store=text|packed).
   /// Text is the default and bit-identical to the historical behaviour;
@@ -211,7 +199,7 @@ struct MetaprepConfig {
   obs::MetricsRegistry* metrics_registry = nullptr;
   obs::MemRegistry* mem_registry = nullptr;
 
-  /// Buffer pool the overlap scheduler leases from.  Null = the process
+  /// Buffer pool the fixed-tuple pass engine leases from.  Null = the process
   /// pool.  The daemon passes one shared pool so jobs recycle each other's
   /// tuple buffers.
   util::BufferPool* buffer_pool = nullptr;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "check/invariants.hpp"
@@ -20,7 +21,6 @@
 #include "core/plan.hpp"
 #include "dsu/dsu.hpp"
 #include "io/fastq.hpp"
-#include "kmer/bloom.hpp"
 #include "kmer/scanner.hpp"
 #include "kmer/superkmer.hpp"
 #include "mpsim/comm.hpp"
@@ -64,17 +64,10 @@ struct TupleBuffer {
   [[nodiscard]] std::uint64_t bytes() const noexcept {
     return keys.size() * (wide ? 20 : 12);
   }
-  void swap(TupleBuffer& other) noexcept {
-    keys.swap(other.keys);
-    keys_hi.swap(other.keys_hi);
-    vals.swap(other.vals);
-    std::swap(wide, other.wide);
-    std::swap(mem_charged, other.mem_charged);
-  }
 
   /// Memory attribution (src/obs/mem): reconcile the "tuples" subsystem with
-  /// this buffer's current capacity.  Called after resizes in the barrier
-  /// schedule; the overlap schedule leases from BufferPool, whose charges are
+  /// this buffer's current capacity.  Called after resizes in the super-k-mer
+  /// engine; the fixed-tuple engine leases from BufferPool, whose charges are
   /// tagged via MemScope instead, so it never calls this.
   std::uint64_t mem_charged = 0;
   void mem_account() {
@@ -141,7 +134,8 @@ std::vector<std::uint16_t> bin_owner_table(std::span<const std::uint32_t> bounds
 
 /// Read-ID sentinel carried by tuples that pad under-filled send blocks
 /// (lenient parsing skipped records the chunk histograms had counted).
-/// LocalCC never forms an edge through it.
+/// LocalCC treats it as absent: it neither counts toward its k-mer's
+/// frequency nor breaks the edge chain between the reads around it.
 constexpr std::uint32_t kInvalidRead = 0xFFFFFFFFu;
 
 struct RankShared {
@@ -160,11 +154,10 @@ struct RankShared {
   std::uint64_t exchange_bytes = 0;      ///< cross-rank KmerGen-Comm bytes shipped
   std::uint64_t exchange_bytes_raw = 0;  ///< uncompressed-equivalent of the same traffic
   std::uint64_t superkmer_records = 0;   ///< wire records this rank emitted
-  std::uint64_t bloom_dropped = 0;       ///< k-mer occurrences the Bloom prefilter dropped
 };
 
-/// Everything the per-rank pass loop needs, bundled so the barrier and
-/// overlap schedules are interchangeable implementations of one interface.
+/// Everything a per-rank pass engine needs, bundled so the fixed-tuple and
+/// super-k-mer engines share the chunk scan and LocalSort/LocalCC.
 struct PassCtx {
   const DatasetIndex& index;
   const MetaprepConfig& config;
@@ -204,29 +197,55 @@ void phase_boundary(PassCtx& ctx, const char* phase) {
   if (ctx.p == 0 && ctx.tr.enabled()) ctx.my.rss_samples.push_back({phase, peak});
 }
 
+/// Passes per chunk sweep (the pass engines' group size G): 1 for the
+/// paper's barrier schedule, 2 for overlap.
+int group_size(const MetaprepConfig& config) {
+  return config.pipeline_mode == PipelineMode::kOverlap ? 2 : 1;
+}
+
 /// Progress line updates happen on rank 0 only (the phases are globally
 /// synchronized by the exchange anyway, so rank 0's view is representative).
 inline void progress_phase(const PassCtx& ctx, const char* phase) {
   if (ctx.p == 0) obs::Progress::global().phase(phase);
 }
 
-/// One chunk's record stream for KmerGen, shared by the barrier and overlap
-/// schedulers.  Text mode reads the chunk's byte range and parses it;
-/// packed mode walks the arena's record range for the chunk — same records,
-/// same order, same read IDs, so the emitted tuple stream is bit-identical.
-/// Per record: value = find(read_id) under the §3.5.1 substitution, then
-/// emit64(km, value) / emit128(km, value) per canonical k-mer.  @p io_s and
-/// @p gen_s accumulate the KmerGen-I/O and KmerGen step walls for this
-/// thread.  Returns the lenient-parse skips this scan observed (always 0 in
-/// packed mode: ingest already recorded them in the arena).
-template <typename Emit64, typename Emit128>
-std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute,
-                         double& io_s, double& gen_s, Emit64&& emit64,
-                         Emit128&& emit128, bool tick_progress = true) {
+/// fn64(km, pos) (k <= 32) or fn128(km, pos) (k > 32) for every canonical
+/// k-mer of one record: a text sequence, or a packed-store record.
+template <typename Fn64, typename Fn128>
+void for_each_record_kmer(std::string_view seq, int k, bool wide, Fn64&& fn64,
+                          Fn128&& fn128) {
+  if (!wide) {
+    kmer::for_each_canonical_kmer64(seq, k, fn64);
+  } else {
+    kmer::for_each_canonical_kmer128(seq, k, fn128);
+  }
+}
+template <typename Fn64, typename Fn128>
+void for_each_record_kmer(const io::PackedStore::Record& rec, int k, bool wide, Fn64&& fn64,
+                          Fn128&& fn128) {
+  if (!wide) {
+    kmer::for_each_canonical_kmer64_packed(rec.words, rec.len, rec.npos, rec.ncount, k, fn64);
+  } else {
+    kmer::for_each_canonical_kmer128_packed(rec.words, rec.len, rec.npos, rec.ncount, k,
+                                            fn128);
+  }
+}
+
+/// One chunk's record stream for KmerGen, shared by both pass engines.  Text
+/// mode reads the chunk's byte range and parses it; packed mode walks the
+/// arena's record range for the chunk — same records, same order, same read
+/// IDs, so the emitted stream is bit-identical.  Per record: value =
+/// find(read_id) under the §3.5.1 substitution, then rec_fn(value, seq) with
+/// the text sequence or rec_fn(value, rec) with the packed record.
+/// @p io_s and @p gen_s accumulate the KmerGen-I/O and KmerGen step walls
+/// for this thread.  Returns the lenient-parse skips this scan observed
+/// (always 0 in packed mode: ingest already recorded them in the arena).
+template <typename RecFn>
+std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
+                                 double& io_s, double& gen_s, RecFn&& rec_fn) {
   util::throw_if_cancelled(ctx.config.cancel_token, "KmerGen chunk");
   const DatasetIndex& index = ctx.index;
   dsu::AtomicDSU& local_cc = ctx.local_cc;
-  const int k = ctx.k;
   std::uint64_t skipped = 0;
   if (ctx.packed != nullptr) {
     const io::PackedStore& ps = *ctx.packed;
@@ -235,15 +254,7 @@ std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute,
     for (std::uint64_t r = ps.chunk_begin(c), e = ps.chunk_end(c); r < e; ++r) {
       const io::PackedStore::Record rec = ps.record(r);
       const std::uint32_t value = substitute ? local_cc.find(rec.read_id) : rec.read_id;
-      if (!ctx.wide) {
-        kmer::for_each_canonical_kmer64_packed(
-            rec.words, rec.len, rec.npos, rec.ncount, k,
-            [&](std::uint64_t km, std::size_t) { emit64(km, value); });
-      } else {
-        kmer::for_each_canonical_kmer128_packed(
-            rec.words, rec.len, rec.npos, rec.ncount, k,
-            [&](kmer::Kmer128 km, std::size_t) { emit128(km, value); });
-      }
+      rec_fn(value, rec);
     }
     span_end(ctx.tr, "KmerGen", gen_t0);
     gen_s += gen_timer.seconds();
@@ -268,13 +279,7 @@ std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute,
           // LocalCC-Opt (§3.5.1): from pass 2 on, enumerate the component
           // ID instead of the read ID for better locality.
           const std::uint32_t value = substitute ? local_cc.find(read_id) : read_id;
-          if (!ctx.wide) {
-            kmer::for_each_canonical_kmer64(
-                seq, k, [&](std::uint64_t km, std::size_t) { emit64(km, value); });
-          } else {
-            kmer::for_each_canonical_kmer128(
-                seq, k, [&](kmer::Kmer128 km, std::size_t) { emit128(km, value); });
-          }
+          rec_fn(value, seq);
           ++read_id;
         },
         popt);
@@ -282,470 +287,172 @@ std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute,
     gen_s += gen_timer.seconds();
     skipped = stats.skipped;
   }
-  if (tick_progress) obs::Progress::global().chunk_done();
+  obs::Progress::global().chunk_done();
   return skipped;
 }
 
-/// Record-granular variant of scan_chunk for the compressed emit path: same
-/// I/O scaffolding and §3.5.1 substitution, but the callback receives the
-/// whole record's bases (RecordView) instead of per-k-mer events, so the
-/// super-k-mer scanner can see run structure.
-struct RecordView {
-  const char* text = nullptr;            ///< text mode: raw sequence chars
-  const std::uint64_t* words = nullptr;  ///< packed mode: 2-bit LSB-first words
-  std::uint32_t len = 0;
-  const std::uint32_t* npos = nullptr;   ///< packed mode: N positions
-  std::uint32_t ncount = 0;
-  /// 2-bit code of base i.  Only called for positions inside a valid
-  /// super-k-mer run, which the scanner guarantees is free of invalid bases.
-  [[nodiscard]] std::uint8_t code_at(std::size_t i) const noexcept {
-    if (words != nullptr)
-      return static_cast<std::uint8_t>((words[i >> 5] >> (2 * (i & 31))) & 3u);
-    return kmer::base_code(text[i]);
-  }
-};
+/// Per-k-mer form of scan_chunk_records: emit64(km, value) /
+/// emit128(km, value) for every canonical k-mer of the chunk.
+template <typename Emit64, typename Emit128>
+std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double& io_s,
+                         double& gen_s, Emit64&& emit64, Emit128&& emit128) {
+  return scan_chunk_records(
+      ctx, c, substitute, io_s, gen_s, [&](std::uint32_t value, const auto& rec) {
+        for_each_record_kmer(
+            rec, ctx.k, ctx.wide, [&](std::uint64_t km, std::size_t) { emit64(km, value); },
+            [&](kmer::Kmer128 km, std::size_t) { emit128(km, value); });
+      });
+}
 
-template <typename RecFn>
-std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
-                                 double& io_s, double& gen_s, bool tick_progress,
-                                 RecFn&& rec_fn) {
-  util::throw_if_cancelled(ctx.config.cancel_token, "KmerGen chunk");
-  const DatasetIndex& index = ctx.index;
-  dsu::AtomicDSU& local_cc = ctx.local_cc;
-  std::uint64_t skipped = 0;
-  if (ctx.packed != nullptr) {
-    const io::PackedStore& ps = *ctx.packed;
-    WallTimer gen_timer;
-    const double gen_t0 = span_begin(ctx.tr);
-    for (std::uint64_t r = ps.chunk_begin(c), e = ps.chunk_end(c); r < e; ++r) {
-      const io::PackedStore::Record rec = ps.record(r);
-      const std::uint32_t value = substitute ? local_cc.find(rec.read_id) : rec.read_id;
-      rec_fn(value, RecordView{nullptr, rec.words, rec.len, rec.npos, rec.ncount});
-    }
-    span_end(ctx.tr, "KmerGen", gen_t0);
-    gen_s += gen_timer.seconds();
+// ---------------------------------------------------------------------------
+// LocalSort + LocalCC (§3.4-§3.5), shared by both pass engines.  An engine
+// delivers one pass's tuples into T dest-thread regions
+// [region_start[t], region_start[t+1]), each ordered by (src rank, src
+// thread, generation order).  The radix sort is stable, so the sorted
+// sequence — and with it every union LocalCC performs — depends only on
+// that order.
+// ---------------------------------------------------------------------------
+
+/// Stable radix sort of tuples[lo, hi), scratch[lo, hi) as the out-of-place
+/// buffer.
+void sort_region(const PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
+                 std::uint64_t lo, std::uint64_t hi) {
+  const std::size_t n = hi - lo;
+  if (n == 0) return;
+  if (!ctx.wide) {
+    sort::radix_sort_kv64(std::span(tuples.keys).subspan(lo, n),
+                          std::span(tuples.vals).subspan(lo, n),
+                          std::span(scratch.keys).subspan(lo, n),
+                          std::span(scratch.vals).subspan(lo, n), 2 * ctx.k,
+                          ctx.config.sort_digit_bits);
   } else {
-    const ChunkRecord& chunk = index.part.chunks[c];
-    WallTimer io_timer;
-    const double io_t0 = span_begin(ctx.tr);
-    const auto buffer =
-        io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-    span_end(ctx.tr, "KmerGen-I/O", io_t0);
-    const obs::MemCharge io_mem("io", buffer.size());
-    io_s += io_timer.seconds();
-
-    WallTimer gen_timer;
-    const double gen_t0 = span_begin(ctx.tr);
-    std::uint32_t read_id = chunk.first_read_id;
-    io::ParseOptions popt{ctx.config.parse_mode, index.files[chunk.file], chunk.offset,
-                          [&read_id] { ++read_id; }};
-    const io::BufferParseStats stats = io::for_each_record_in_buffer(
-        std::string_view(buffer.data(), buffer.size()),
-        [&](std::string_view, std::string_view seq, std::string_view) {
-          const std::uint32_t value = substitute ? local_cc.find(read_id) : read_id;
-          rec_fn(value, RecordView{seq.data(), nullptr,
-                                   static_cast<std::uint32_t>(seq.size()), nullptr, 0});
-          ++read_id;
-        },
-        popt);
-    span_end(ctx.tr, "KmerGen", gen_t0);
-    gen_s += gen_timer.seconds();
-    skipped = stats.skipped;
+    sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(lo, n),
+                           std::span(tuples.keys).subspan(lo, n),
+                           std::span(tuples.vals).subspan(lo, n),
+                           std::span(scratch.keys_hi).subspan(lo, n),
+                           std::span(scratch.keys).subspan(lo, n),
+                           std::span(scratch.vals).subspan(lo, n), 2 * ctx.k,
+                           ctx.config.sort_digit_bits);
   }
-  if (tick_progress) obs::Progress::global().chunk_done();
-  return skipped;
 }
 
-// ---------------------------------------------------------------------------
-// Barrier schedule: the paper's pass loop, one phase at a time.
-// ---------------------------------------------------------------------------
-void run_passes_barrier(PassCtx& ctx) {
-  const DatasetIndex& index = ctx.index;
-  const MetaprepConfig& config = ctx.config;
-  const PassPlan& plan = ctx.plan;
-  const ChunkAssignment& ca = ctx.ca;
-  mpsim::Comm& comm = ctx.comm;
-  ThreadTeam& team = ctx.team;
+/// Algorithm 1 over one sorted region: each run of equal k-mers whose
+/// frequency the filter accepts chains its reads into union-find edges.
+/// kSentinels: the region may hold kInvalidRead padding (lenient parsing in
+/// the fixed-tuple engine); each sentinel is skipped in both the run's
+/// frequency and its chain.  Returns the region's Algorithm 1 iteration
+/// count.
+template <bool kSentinels>
+int union_region(PassCtx& ctx, const TupleBuffer& tuples, std::uint64_t lo,
+                 std::uint64_t hi) {
   dsu::AtomicDSU& local_cc = ctx.local_cc;
+  const KmerFreqFilter& filter = ctx.config.filter;
+  const bool filtered = filter.enabled();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  std::uint64_t i = lo;
+  while (i < hi) {
+    std::uint64_t j = i + 1;
+    if (!ctx.wide) {
+      while (j < hi && tuples.keys[j] == tuples.keys[i]) ++j;
+    } else {
+      while (j < hi && tuples.keys[j] == tuples.keys[i] &&
+             tuples.keys_hi[j] == tuples.keys_hi[i])
+        ++j;
+    }
+    std::uint64_t freq = j - i;
+    if constexpr (kSentinels) {
+      // Sentinels only lower a run's count, so a run already below the
+      // band is rejected without reading its values.
+      if (filtered && freq >= filter.min_freq) {
+        for (std::uint64_t x = i; x < j; ++x) freq -= tuples.vals[x] == kInvalidRead;
+      }
+    }
+    if (filter.accepts(freq)) {
+      std::uint32_t u = tuples.vals[i];
+      for (std::uint64_t x = i + 1; x < j; ++x) {
+        const std::uint32_t v = tuples.vals[x];
+        if constexpr (kSentinels) {
+          if (v == kInvalidRead) continue;  // u carries over: the chain bridges it
+          if (u == kInvalidRead) {
+            u = v;
+            continue;
+          }
+        }
+        if (u != v) {
+          const std::uint32_t ru = local_cc.find(u);
+          const std::uint32_t rv = local_cc.find(v);
+          if (ru != rv) {
+            local_cc.unite_once(ru, rv);
+            edges.emplace_back(u, v);
+          }
+        }
+        u = v;
+      }
+    }
+    i = j;
+  }
+  ctx.m_cc_edges.add(edges.size());
+  return 1 + dsu::process_edges_algorithm1(local_cc, edges);
+}
+
+/// LocalSort, then LocalCC, over the T dest-thread regions of one pass.
+/// @p sentinels: the regions may hold lenient-parse padding.
+void sort_and_union(PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
+                    std::span<const std::uint64_t> region_start, bool sentinels) {
   RankShared& my = ctx.my;
   obs::TraceSession& tr = ctx.tr;
-  obs::Counter& m_tuples = ctx.m_tuples;
-  obs::Counter& m_cc_edges = ctx.m_cc_edges;
-  obs::Gauge& m_rss = ctx.m_rss;
-  const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k, m = ctx.m;
-  const bool wide = ctx.wide;
+  auto lo = [&](int t) { return region_start[static_cast<std::size_t>(t)]; };
+  auto hi = [&](int t) { return region_start[static_cast<std::size_t>(t) + 1]; };
 
-  TupleBuffer kmer_out;
-  TupleBuffer kmer_in;
-  kmer_out.wide = wide;
-  kmer_in.wide = wide;
+  progress_phase(ctx, "LocalSort");
+  const double sort_t0 = span_begin(tr);
+  WallTimer sort_timer;
+  ctx.team.run([&](int t) { sort_region(ctx, tuples, scratch, lo(t), hi(t)); });
+  my.times.add("LocalSort", sort_timer.seconds());
+  span_end(tr, "LocalSort", sort_t0);
+  phase_boundary(ctx, "LocalSort");
 
-  for (int s = 0; s < S; ++s) {
-    util::throw_if_cancelled(config.cancel_token, "barrier pass");
-    const double pass_t0 = span_begin(tr);
-    const BinRange my_range = plan.rank_range(s, p);
-    const auto& rank_bounds = plan.rank_bounds(s);
-    const auto& thread_bounds = plan.thread_bounds(s, p);
-
-    // ---- Send-side offsets (§3.2.2): tuples generated by each of my
-    // threads destined to each rank, from the chunk histograms. ----
-    std::vector<std::uint64_t> count_send(static_cast<std::size_t>(T) * P, 0);  // [t][dest]
-    for (int t = 0; t < T; ++t) {
-      for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-        accumulate_bounded_counts(
-            index.part.row(c), rank_bounds,
-            std::span(count_send).subspan(static_cast<std::size_t>(t) * P, P));
-      }
-    }
-    std::vector<std::uint64_t> send_offsets(static_cast<std::size_t>(P) + 1, 0);
-    for (int d = 0; d < P; ++d) {
-      std::uint64_t tot = 0;
-      for (int t = 0; t < T; ++t) tot += count_send[static_cast<std::size_t>(t) * P + d];
-      send_offsets[static_cast<std::size_t>(d) + 1] =
-          send_offsets[static_cast<std::size_t>(d)] + tot;
-    }
-    // Per-(thread, dest) write cursors within the dest blocks.
-    std::vector<std::uint64_t> cursor(static_cast<std::size_t>(T) * P, 0);
-    for (int d = 0; d < P; ++d) {
-      std::uint64_t off = send_offsets[static_cast<std::size_t>(d)];
-      for (int t = 0; t < T; ++t) {
-        cursor[static_cast<std::size_t>(t) * P + d] = off;
-        off += count_send[static_cast<std::size_t>(t) * P + d];
-      }
-    }
-    const std::vector<std::uint64_t> cursor_start = cursor;
-    const std::uint64_t total_out = send_offsets.back();
-    kmer_out.resize(total_out);
-    kmer_out.mem_account();
-    my.tuples += total_out;
-    m_tuples.add(total_out);
-
-    // ---- Recv-side offsets (§3.3): tuples arriving from each source
-    // rank's threads that fall in my k-mer range. ----
-    std::vector<std::uint64_t> count_recv(static_cast<std::size_t>(P) * T, 0);  // [src][t']
-    const std::array<std::uint32_t, 2> my_bounds_arr{my_range.begin, my_range.end};
-    for (int q = 0; q < P; ++q) {
-      for (int t2 = 0; t2 < T; ++t2) {
-        std::uint64_t acc = 0;
-        for (std::uint32_t c = ca.thread_begin(q, t2); c < ca.thread_end(q, t2); ++c) {
-          std::uint64_t one = 0;
-          accumulate_bounded_counts(index.part.row(c), my_bounds_arr, std::span(&one, 1));
-          acc += one;
-        }
-        count_recv[static_cast<std::size_t>(q) * T + t2] = acc;
-      }
-    }
-    std::vector<std::uint64_t> recv_offsets(static_cast<std::size_t>(P) + 1, 0);
-    for (int q = 0; q < P; ++q) {
-      std::uint64_t tot = 0;
-      for (int t2 = 0; t2 < T; ++t2) tot += count_recv[static_cast<std::size_t>(q) * T + t2];
-      recv_offsets[static_cast<std::size_t>(q) + 1] =
-          recv_offsets[static_cast<std::size_t>(q)] + tot;
-    }
-    const std::uint64_t total_in = recv_offsets.back();
-
-    // ---- KmerGen: threads enumerate canonical k-mers from their chunks
-    // and write tuples at precomputed offsets, no synchronization. ----
-    const std::vector<std::uint16_t> dest_of_bin = bin_owner_table(rank_bounds);
-    const std::uint32_t pass_lo = plan.pass_range(s).begin;
-    const std::uint32_t pass_hi = plan.pass_range(s).end;
-    std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
-    const bool substitute_components = config.cc_opt && s > 0;
-
-    progress_phase(ctx, "KmerGen");
-    std::vector<std::uint64_t> skip_counts(static_cast<std::size_t>(T), 0);
-    team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
-      std::uint64_t* cur = cursor.data() + static_cast<std::size_t>(t) * P;
-      auto emit64 = [&](std::uint64_t km, std::uint32_t value) {
-        const std::uint32_t bin = kmer::prefix_bin64(km, k, m);
-        if (bin < pass_lo || bin >= pass_hi) return;
-        const std::uint16_t d = dest_of_bin[bin - pass_lo];
-        const std::uint64_t at = cur[d]++;
-        kmer_out.keys[at] = km;
-        kmer_out.vals[at] = value;
-      };
-      auto emit128 = [&](kmer::Kmer128 km, std::uint32_t value) {
-        const std::uint32_t bin = kmer::prefix_bin128(km, k, m);
-        if (bin < pass_lo || bin >= pass_hi) return;
-        const std::uint16_t d = dest_of_bin[bin - pass_lo];
-        const std::uint64_t at = cur[d]++;
-        kmer_out.keys[at] = km.lo;
-        kmer_out.keys_hi[at] = km.hi;
-        kmer_out.vals[at] = value;
-      };
-      for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-        skip_counts[static_cast<std::size_t>(t)] +=
-            scan_chunk(ctx, c, substitute_components,
-                       io_seconds[static_cast<std::size_t>(t)],
-                       gen_seconds[static_cast<std::size_t>(t)], emit64, emit128);
-      }
-    });
-    my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
-    my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
-    if (s == 0) {
-      // The first sweep visits every record exactly once, so its skip count
-      // is the number of *distinct* records lenient parsing dropped (later
-      // passes re-discover the same skips in text mode).
-      for (std::uint64_t sk : skip_counts) my.records_skipped += sk;
-    }
-
-    // Lenient parsing may have skipped records that the (clean-data) chunk
-    // histograms counted, leaving some (thread, dest) blocks under-filled.
-    // The exchange geometry is precomputed on both sides, so the gap slots
-    // ship regardless — fill them with sentinel tuples whose bin falls in
-    // the destination's range (so its partition step stays in bounds) and
-    // whose value is kInvalidRead (so LocalCC ignores them).
-    for (int t = 0; t < T; ++t) {
-      for (int d = 0; d < P; ++d) {
-        const std::size_t td = static_cast<std::size_t>(t) * P + d;
-        const std::uint64_t block_end = cursor_start[td] + count_send[td];
-        if (cursor[td] == block_end) continue;
-        const auto bin = static_cast<std::uint64_t>(rank_bounds[static_cast<std::size_t>(d)]);
-        const int shift = 2 * (k - m);
-        std::uint64_t s_lo, s_hi;
-        if (!wide) {
-          s_lo = bin << shift;
-          s_hi = 0;
-        } else if (shift >= 64) {
-          s_hi = bin << (shift - 64);
-          s_lo = 0;
-        } else {
-          s_lo = bin << shift;
-          s_hi = bin >> (64 - shift);
-        }
-        for (std::uint64_t at = cursor[td]; at < block_end; ++at) {
-          kmer_out.keys[at] = s_lo;
-          if (wide) kmer_out.keys_hi[at] = s_hi;
-          kmer_out.vals[at] = kInvalidRead;
-        }
-        cursor[td] = block_end;
-      }
-    }
-
-    // ---- KmerGen-Comm: staged All-to-all of the tuple arrays. ----
-    progress_phase(ctx, "KmerGen-Comm");
-    {
-      obs::TraceSpan comm_span("KmerGen-Comm");
-      WallTimer comm_timer;
-      if (P == 1) {
-        kmer_in.swap(kmer_out);
-        kmer_out.resize(kmer_in.size());
-      } else {
-        kmer_in.resize(total_in);
-        const int tag_base = (s * 3) * (P + 1) + 1000;
-        auto byte_offsets = [&](std::span<const std::uint64_t> elems, std::size_t esize) {
-          std::vector<std::uint64_t> out(elems.size());
-          for (std::size_t i = 0; i < elems.size(); ++i) out[i] = elems[i] * esize;
-          return out;
-        };
-        const auto so8 = byte_offsets(send_offsets, 8);
-        const auto ro8 = byte_offsets(recv_offsets, 8);
-        const auto so4 = byte_offsets(send_offsets, 4);
-        const auto ro4 = byte_offsets(recv_offsets, 4);
-        comm.alltoallv_staged(kmer_out.keys.data(), so8, kmer_in.keys.data(), ro8, tag_base);
-        comm.alltoallv_staged(kmer_out.vals.data(), so4, kmer_in.vals.data(), ro4,
-                              tag_base + (P + 1));
-        if (wide) {
-          comm.alltoallv_staged(kmer_out.keys_hi.data(), so8, kmer_in.keys_hi.data(), ro8,
-                                tag_base + 2 * (P + 1));
-        }
-        // Exchange-volume accounting (cross-rank tuples only, matching the
-        // traffic matrix); uncompressed, so shipped == raw.
-        const std::uint64_t cross =
-            total_out - (send_offsets[static_cast<std::size_t>(p) + 1] -
-                         send_offsets[static_cast<std::size_t>(p)]);
-        my.exchange_bytes += cross * (wide ? 20u : 12u);
-        my.exchange_bytes_raw += cross * (wide ? 20u : 12u);
-        kmer_out.resize(total_in);  // becomes the partition/sort buffer
-      }
-      my.times.add("KmerGen-Comm", comm_timer.seconds());
-    }
-    kmer_in.mem_account();
-    kmer_out.mem_account();
-    my.max_buffer_bytes = std::max(my.max_buffer_bytes, kmer_in.bytes() + kmer_out.bytes());
-    phase_boundary(ctx, "KmerGen-Comm");
-
-    // ---- LocalSort (§3.4): parallel range partitioning into T disjoint
-    // thread ranges, then serial radix sort per thread. ----
-    progress_phase(ctx, "LocalSort");
-    {
-      const double sort_t0 = span_begin(tr);
-      WallTimer sort_timer;
-      // Source blocks: one per (src rank, src thread), layout known from
-      // the recv offsets; bin distribution known from FASTQPart.
-      const int nblocks = P * T;
-      std::vector<std::uint64_t> block_start(static_cast<std::size_t>(nblocks) + 1, 0);
-      {
-        std::size_t bi = 0;
-        std::uint64_t off = 0;
-        for (int q = 0; q < P; ++q) {
-          for (int t2 = 0; t2 < T; ++t2) {
-            block_start[bi++] = off;
-            off += count_recv[static_cast<std::size_t>(q) * T + t2];
-          }
-        }
-        block_start[static_cast<std::size_t>(nblocks)] = off;
-      }
-      // Scatter counts per (block, dest thread range).
-      std::vector<std::uint64_t> count_part(static_cast<std::size_t>(nblocks) * T, 0);
-      {
-        std::size_t bi = 0;
-        for (int q = 0; q < P; ++q) {
-          for (int t2 = 0; t2 < T; ++t2, ++bi) {
-            for (std::uint32_t c = ca.thread_begin(q, t2); c < ca.thread_end(q, t2); ++c) {
-              accumulate_bounded_counts(
-                  index.part.row(c), thread_bounds,
-                  std::span(count_part).subspan(bi * T, static_cast<std::size_t>(T)));
-            }
-          }
-        }
-      }
-      // Dest-range starts and per-(block, dest) cursors.
-      std::vector<std::uint64_t> dest_start(static_cast<std::size_t>(T) + 1, 0);
-      for (int t = 0; t < T; ++t) {
-        std::uint64_t tot = 0;
-        for (int b = 0; b < nblocks; ++b) tot += count_part[static_cast<std::size_t>(b) * T + t];
-        dest_start[static_cast<std::size_t>(t) + 1] = dest_start[static_cast<std::size_t>(t)] + tot;
-      }
-      std::vector<std::uint64_t> part_cursor(static_cast<std::size_t>(nblocks) * T, 0);
-      for (int t = 0; t < T; ++t) {
-        std::uint64_t off = dest_start[static_cast<std::size_t>(t)];
-        for (int b = 0; b < nblocks; ++b) {
-          part_cursor[static_cast<std::size_t>(b) * T + t] = off;
-          off += count_part[static_cast<std::size_t>(b) * T + t];
-        }
-      }
-
-      const std::vector<std::uint16_t> thread_of_bin = bin_owner_table(thread_bounds);
-      const std::uint32_t range_lo = my_range.begin;
-      const auto block_bounds = util::split_range(static_cast<std::size_t>(nblocks), T);
-
-      // Phase 1: parallel partition kmer_in -> kmer_out.
-      team.run([&](int t) {
-        for (std::size_t b = block_bounds[static_cast<std::size_t>(t)];
-             b < block_bounds[static_cast<std::size_t>(t) + 1]; ++b) {
-          std::uint64_t* cur = part_cursor.data() + b * T;
-          for (std::uint64_t i = block_start[b]; i < block_start[b + 1]; ++i) {
-            const std::uint32_t bin =
-                wide ? kmer::prefix_bin128({kmer_in.keys_hi[i], kmer_in.keys[i]}, k, m)
-                     : kmer::prefix_bin64(kmer_in.keys[i], k, m);
-            const std::uint16_t d = thread_of_bin[bin - range_lo];
-            const std::uint64_t at = cur[d]++;
-            kmer_out.keys[at] = kmer_in.keys[i];
-            kmer_out.vals[at] = kmer_in.vals[i];
-            if (wide) kmer_out.keys_hi[at] = kmer_in.keys_hi[i];
-          }
-        }
-      });
-
-      // Phase 2: serial radix sort per thread range, scratch = kmer_in
-      // (the paper reuses the send buffer as the out-of-place buffer).
-      team.run([&](int t) {
-        const std::uint64_t lo = dest_start[static_cast<std::size_t>(t)];
-        const std::uint64_t hi = dest_start[static_cast<std::size_t>(t) + 1];
-        const std::size_t n = hi - lo;
-        if (n == 0) return;
-        if (!wide) {
-          sort::radix_sort_kv64(std::span(kmer_out.keys).subspan(lo, n),
-                                std::span(kmer_out.vals).subspan(lo, n),
-                                std::span(kmer_in.keys).subspan(lo, n),
-                                std::span(kmer_in.vals).subspan(lo, n), 2 * k,
-                                config.sort_digit_bits);
-        } else {
-          sort::radix_sort_kv128(std::span(kmer_out.keys_hi).subspan(lo, n),
-                                 std::span(kmer_out.keys).subspan(lo, n),
-                                 std::span(kmer_out.vals).subspan(lo, n),
-                                 std::span(kmer_in.keys_hi).subspan(lo, n),
-                                 std::span(kmer_in.keys).subspan(lo, n),
-                                 std::span(kmer_in.vals).subspan(lo, n), 2 * k,
-                                 config.sort_digit_bits);
-        }
-      });
-      my.times.add("LocalSort", sort_timer.seconds());
-      span_end(tr, "LocalSort", sort_t0);
-      phase_boundary(ctx, "LocalSort");
-
-      // ---- LocalCC (§3.5, Algorithm 1): runs of equal k-mers become
-      // read-graph edges; union-find with buffered re-verification. ----
-      progress_phase(ctx, "LocalCC");
-      const double cc_t0 = span_begin(tr);
-      WallTimer cc_timer;
-      std::vector<int> thread_iters(static_cast<std::size_t>(T), 0);
-      team.run([&](int t) {
-        const std::uint64_t lo = dest_start[static_cast<std::size_t>(t)];
-        const std::uint64_t hi = dest_start[static_cast<std::size_t>(t) + 1];
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;
-        std::uint64_t i = lo;
-        while (i < hi) {
-          std::uint64_t j = i + 1;
-          if (!wide) {
-            while (j < hi && kmer_out.keys[j] == kmer_out.keys[i]) ++j;
-          } else {
-            while (j < hi && kmer_out.keys[j] == kmer_out.keys[i] &&
-                   kmer_out.keys_hi[j] == kmer_out.keys_hi[i])
-              ++j;
-          }
-          const std::uint64_t freq = j - i;
-          if (config.filter.accepts(freq)) {
-            for (std::uint64_t x = i + 1; x < j; ++x) {
-              const std::uint32_t u = kmer_out.vals[x - 1];
-              const std::uint32_t v = kmer_out.vals[x];
-              if (u == v) continue;
-              if (u == kInvalidRead || v == kInvalidRead) continue;
-              const std::uint32_t ru = local_cc.find(u);
-              const std::uint32_t rv = local_cc.find(v);
-              if (ru != rv) {
-                local_cc.unite_once(ru, rv);
-                pending.emplace_back(u, v);
-              }
-            }
-          }
-          i = j;
-        }
-        thread_iters[static_cast<std::size_t>(t)] =
-            1 + dsu::process_edges_algorithm1(local_cc, pending);
-        m_cc_edges.add(pending.size());
-      });
-      my.times.add("LocalCC", cc_timer.seconds());
-      span_end(tr, "LocalCC", cc_t0);
-      phase_boundary(ctx, "LocalCC");
-      my.cc_iterations =
-          std::max(my.cc_iterations,
-                   *std::max_element(thread_iters.begin(), thread_iters.end()));
-    }
-    m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
-    span_end(tr, "Pass", pass_t0);
-  }  // passes
+  progress_phase(ctx, "LocalCC");
+  const double cc_t0 = span_begin(tr);
+  WallTimer cc_timer;
+  std::vector<int> thread_iters(static_cast<std::size_t>(ctx.T), 0);
+  ctx.team.run([&](int t) {
+    thread_iters[static_cast<std::size_t>(t)] =
+        sentinels ? union_region<true>(ctx, tuples, lo(t), hi(t))
+                  : union_region<false>(ctx, tuples, lo(t), hi(t));
+  });
+  my.times.add("LocalCC", cc_timer.seconds());
+  span_end(tr, "LocalCC", cc_t0);
+  phase_boundary(ctx, "LocalCC");
+  my.cc_iterations = std::max(my.cc_iterations,
+                              *std::max_element(thread_iters.begin(), thread_iters.end()));
 }
 
 // ---------------------------------------------------------------------------
-// Overlap (pipelined) schedule.
+// Fixed-tuple pass engine: the paper's pass loop (§3.2-§3.5), with passes
+// run in groups of G.
 //
-// Passes run in groups of two.  One chunk read + k-mer scan generates both
-// passes' tuple sets — pass s+1's KmerGen rides inside pass s's
-// KmerGen-Comm window — the exchange is posted with async isend/irecv and
-// completed lazily, and KmerGen partitions tuples at (dest rank, dest
-// thread) granularity so the receive buffer IS the sort buffer and
-// LocalSort's partition copy disappears.  All tuple arrays are leased from
+// One chunk read + k-mer scan generates the tuples of every pass in a group
+// at synchronization-free offsets precomputed from the FASTQPart histograms
+// (§3.2.2).  The offsets have (dest rank, dest thread) granularity, so the
+// receive buffer IS the sort buffer: no partition copy.  Each pass's
+// exchange is posted with async isend/irecv and completed lazily while
+// earlier passes of the group sort and union.  Tuple arrays are leased from
 // util::BufferPool and recycled across passes and groups.
 //
-// Equivalence to the barrier schedule (the differential grid asserts it):
-// within a dest-thread region, tuples are laid out ordered by (src rank,
-// src thread, generation order) — exactly the sequence the barrier
-// partition copy produces — and the radix sort is stable, so LocalSort
-// emits the same tuple sequence and LocalCC performs the same unions.  The
-// one visible difference is §3.5.1 staleness: pass s+1 substitutes
-// component IDs as of pass s-1 instead of pass s.  A stale root is still a
-// member of the same component, so the union structure — and therefore the
-// final partition — is unchanged (only label representatives may differ).
+// G = 1 (PipelineMode::kBarrier) is the paper's schedule: pass s runs
+// KmerGen -> KmerGen-Comm -> LocalSort -> LocalCC to completion, and pass
+// s+1 substitutes (§3.5.1) the components as of pass s.  G = 2 (kOverlap)
+// fuses two passes per chunk sweep, so pass s+1's KmerGen rides inside pass
+// s's KmerGen-Comm window, and both passes of a group substitute the
+// components as of the previous group.  A stale root is still a member of
+// the same component, so the final partition is unchanged (DESIGN.md "Pass
+// engine").
 // ---------------------------------------------------------------------------
 
 /// Exchange geometry of one pass at (dest rank, dest thread) granularity,
-/// fully precomputed from the index tables (the overlap-mode analogue of
-/// the barrier schedule's send/recv offset vectors).
-struct OverlapGeom {
+/// fully precomputed from the index tables.
+struct PassGeom {
   std::uint32_t pass_lo = 0, pass_hi = 0;
   std::vector<std::uint32_t> slot_bounds;   ///< P*T+1 concatenated thread bounds
   std::vector<std::uint16_t> slot_of_bin;   ///< bin - pass_lo -> slot d*T+dt
@@ -755,17 +462,17 @@ struct OverlapGeom {
   std::vector<std::uint64_t> cursor_start;  ///< [t][slot]
   std::uint64_t total_out = 0;
   // Recv side: T regions (one per dest thread), each ordered by src rank q,
-  // within q by src thread — the barrier partition's output order.
+  // within q by src thread.
   std::vector<std::uint64_t> count_recv;    ///< [q][dt]
   std::vector<std::uint64_t> region_start;  ///< T+1 element offsets
   std::vector<std::uint64_t> block_start;   ///< [q][dt] absolute element offsets
   std::uint64_t total_in = 0;
 };
 
-OverlapGeom overlap_geometry(const PassCtx& ctx, int s) {
+PassGeom pass_geometry(const PassCtx& ctx, int s) {
   const int P = ctx.P, T = ctx.T, p = ctx.p;
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  OverlapGeom g;
+  PassGeom g;
   g.pass_lo = ctx.plan.pass_range(s).begin;
   g.pass_hi = ctx.plan.pass_range(s).end;
   g.slot_bounds.reserve(nslots + 1);
@@ -829,11 +536,11 @@ OverlapGeom overlap_geometry(const PassCtx& ctx, int s) {
 }
 
 /// Tags for the fine-grained async exchange: unique per (pass, tuple array,
-/// dest thread), disjoint from the barrier all-to-all (1000+) and MergeCC
-/// (1<<20) ranges.
-constexpr int kOverlapTagBase = 2'000'000;
-inline int overlap_tag(int s, int arr, int dt, int T) {
-  return kOverlapTagBase + (s * 3 + arr) * T + dt;
+/// dest thread), disjoint from the MergeCC (1<<20) and super-k-mer
+/// (3'000'000+) ranges.
+constexpr int kExchangeTagBase = 2'000'000;
+inline int exchange_tag(int s, int arr, int dt, int T) {
+  return kExchangeTagBase + (s * 3 + arr) * T + dt;
 }
 
 /// Post the pass-s exchange: self sub-blocks copy inline, every remote
@@ -841,9 +548,8 @@ inline int overlap_tag(int s, int arr, int dt, int T) {
 /// tuple's final sort position.  Zero-length sub-blocks are not shipped —
 /// both sides derive the same sizes from the index tables, so the skip is
 /// symmetric.  Returns immediately; the caller owns the pending receives.
-void post_overlap_exchange(PassCtx& ctx, int s, const OverlapGeom& g,
-                           const TupleBuffer& sendb, TupleBuffer& recvb,
-                           std::vector<mpsim::Request>& pending) {
+void post_exchange(PassCtx& ctx, int s, const PassGeom& g, const TupleBuffer& sendb,
+                   TupleBuffer& recvb, std::vector<mpsim::Request>& pending) {
   const int P = ctx.P, T = ctx.T, p = ctx.p;
   auto post_array = [&](int arr, const void* sdata, void* rdata, std::size_t esz) {
     const auto* sb = static_cast<const std::byte*>(sdata);
@@ -863,13 +569,13 @@ void post_overlap_exchange(PassCtx& ctx, int s, const OverlapGeom& g,
         const std::size_t dslot = static_cast<std::size_t>(d) * T + dt;
         const std::uint64_t slen = g.slot_start[dslot + 1] - g.slot_start[dslot];
         if (slen > 0) {
-          ctx.comm.isend(d, overlap_tag(s, arr, dt, T), sb + g.slot_start[dslot] * esz,
+          ctx.comm.isend(d, exchange_tag(s, arr, dt, T), sb + g.slot_start[dslot] * esz,
                          slen * esz);
         }
         const std::size_t qslot = static_cast<std::size_t>(q) * T + dt;
         const std::uint64_t rlen = g.count_recv[qslot];
         if (rlen > 0) {
-          pending.push_back(ctx.comm.irecv(q, overlap_tag(s, arr, dt, T),
+          pending.push_back(ctx.comm.irecv(q, exchange_tag(s, arr, dt, T),
                                            rb + g.block_start[qslot] * esz, rlen * esz));
         }
       }
@@ -880,19 +586,19 @@ void post_overlap_exchange(PassCtx& ctx, int s, const OverlapGeom& g,
   if (sendb.wide) post_array(2, sendb.keys_hi.data(), recvb.keys_hi.data(), 8);
 }
 
-void run_passes_overlap(PassCtx& ctx) {
+void run_passes_fixed(PassCtx& ctx) {
   const MetaprepConfig& config = ctx.config;
   const ChunkAssignment& ca = ctx.ca;
   mpsim::Comm& comm = ctx.comm;
   ThreadTeam& team = ctx.team;
-  dsu::AtomicDSU& local_cc = ctx.local_cc;
   RankShared& my = ctx.my;
   obs::TraceSession& tr = ctx.tr;
   const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k, m = ctx.m;
   const bool wide = ctx.wide;
+  const int G = group_size(config);
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
   if (nslots > 0xFFFF)
-    throw util::config_error("overlap mode: P*T must fit the 16-bit slot table");
+    throw util::config_error("tuple exchange: P*T must fit the 16-bit slot table");
 
   util::BufferPool& pool =
       config.buffer_pool != nullptr ? *config.buffer_pool : util::BufferPool::global();
@@ -919,11 +625,11 @@ void run_passes_overlap(PassCtx& ctx) {
     pool.release(std::move(b.vals));
   };
 
-  for (int s0 = 0; s0 < S; s0 += 2) {
-    util::throw_if_cancelled(config.cancel_token, "overlap pass group");
-    const int npasses = std::min(2, S - s0);
+  for (int s0 = 0; s0 < S; s0 += G) {
+    util::throw_if_cancelled(config.cancel_token, "pass group");
+    const int npasses = std::min(G, S - s0);
     std::array<double, 2> pass_t0{span_begin(tr), -1.0};
-    std::array<OverlapGeom, 2> geom;
+    std::array<PassGeom, 2> geom;
     std::array<TupleBuffer, 2> send_buf;
     std::array<TupleBuffer, 2> recv_buf;
     // Liveness flags + guard: any exception leaving this group (cancel,
@@ -940,7 +646,7 @@ void run_passes_overlap(PassCtx& ctx) {
     std::array<std::vector<mpsim::Request>, 2> pending;
     std::array<std::vector<std::uint64_t>, 2> cursor;
     for (int i = 0; i < npasses; ++i) {
-      geom[static_cast<std::size_t>(i)] = overlap_geometry(ctx, s0 + i);
+      geom[static_cast<std::size_t>(i)] = pass_geometry(ctx, s0 + i);
       send_buf[static_cast<std::size_t>(i)] =
           acquire_tuples(geom[static_cast<std::size_t>(i)].total_out);
       send_live[static_cast<std::size_t>(i)] = true;
@@ -949,8 +655,8 @@ void run_passes_overlap(PassCtx& ctx) {
       ctx.m_tuples.add(geom[static_cast<std::size_t>(i)].total_out);
     }
 
-    // ---- Fused KmerGen: one chunk read + scan fills every pass buffer in
-    // the group (pass s0+1's generation overlaps pass s0's comm window). ----
+    // ---- KmerGen: one chunk read + scan fills every pass buffer in the
+    // group, no synchronization. ----
     const bool substitute_components = config.cc_opt && s0 > 0;
     const std::uint32_t lo = geom[0].pass_lo;
     const std::uint32_t mid = geom[0].pass_hi;
@@ -994,9 +700,6 @@ void run_passes_overlap(PassCtx& ctx) {
           out1.vals[at] = value;
         }
       };
-      // §3.5.1 substitution happens inside scan_chunk, one group staler
-      // than barrier mode (components as of pass s0-1 for both passes in
-      // the group).
       for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
         skip_counts[static_cast<std::size_t>(t)] +=
             scan_chunk(ctx, c, substitute_components,
@@ -1007,16 +710,21 @@ void run_passes_overlap(PassCtx& ctx) {
     my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
     my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
     if (s0 == 0) {
-      // First chunk sweep == one visit per record: distinct-skip count.
+      // The first sweep visits every record exactly once, so its skip count
+      // is the number of *distinct* records lenient parsing dropped (later
+      // sweeps re-discover the same skips in text mode).
       for (std::uint64_t sk : skip_counts) my.records_skipped += sk;
     }
     phase_boundary(ctx, "KmerGen");
 
-    // Sentinel fill (lenient-parsing gaps), per pass: same rule as barrier
-    // mode, except the key is the slot's first bin (the sub-block must stay
-    // inside its dest thread's range; see DESIGN.md).
+    // Lenient parsing may have skipped records that the (clean-data) chunk
+    // histograms counted, leaving some (thread, slot) blocks under-filled.
+    // The exchange geometry is precomputed on both sides, so the gap slots
+    // ship regardless: fill them with sentinel tuples keyed at the slot's
+    // first bin (so they stay inside the dest thread's range) whose value
+    // is kInvalidRead (so LocalCC skips them).
     for (int i = 0; i < npasses; ++i) {
-      const OverlapGeom& g = geom[static_cast<std::size_t>(i)];
+      const PassGeom& g = geom[static_cast<std::size_t>(i)];
       TupleBuffer& buf = send_buf[static_cast<std::size_t>(i)];
       auto& cur = cursor[static_cast<std::size_t>(i)];
       for (int t = 0; t < T; ++t) {
@@ -1047,8 +755,8 @@ void run_passes_overlap(PassCtx& ctx) {
       }
     }
 
-    // ---- Post every pass's exchange; sends are buffered, so the send
-    // buffers go back to the pool immediately (the mailbox owns the
+    // ---- KmerGen-Comm: post every pass's exchange; sends are buffered, so
+    // the send buffers go back to the pool immediately (the mailbox owns the
     // in-flight copies — DESIGN.md "Buffer-pool ownership"). ----
     progress_phase(ctx, "KmerGen-Comm");
     for (int i = 0; i < npasses; ++i) {
@@ -1065,11 +773,12 @@ void run_passes_overlap(PassCtx& ctx) {
       } else {
         recv_buf[si] = acquire_tuples(geom[si].total_in);
         recv_live[si] = true;
-        post_overlap_exchange(ctx, s0 + i, geom[si], send_buf[si], recv_buf[si], pending[si]);
+        post_exchange(ctx, s0 + i, geom[si], send_buf[si], recv_buf[si], pending[si]);
         release_tuples(std::move(send_buf[si]));
         send_buf[si] = TupleBuffer{};
         send_live[si] = false;
-        // Cross-rank tuples = everything outside my own P*T slot block.
+        // Cross-rank tuples = everything outside my own P*T slot block;
+        // uncompressed, so shipped == raw.
         const std::uint64_t cross =
             geom[si].total_out -
             (geom[si].slot_start[(static_cast<std::size_t>(p) + 1) * T] -
@@ -1084,11 +793,11 @@ void run_passes_overlap(PassCtx& ctx) {
     // ---- Drain the group: while pass s0 sorts and unions, pass s0+1's
     // exchange stays in flight (straggler ranks may still be generating
     // it); its wait_all is the pipeline's only synchronization. ----
-    const double window_t0 = span_begin(tr);
+    const double window_t0 = G > 1 ? span_begin(tr) : -1.0;
     for (int i = 0; i < npasses; ++i) {
-      util::throw_if_cancelled(config.cancel_token, "overlap drain");
+      util::throw_if_cancelled(config.cancel_token, "pass drain");
       const std::size_t si = static_cast<std::size_t>(i);
-      const OverlapGeom& g = geom[si];
+      const PassGeom& g = geom[si];
       TupleBuffer& tuples = recv_buf[si];
       if (i == npasses - 1) span_end(tr, "Overlap-Window", window_t0);
       if (pass_t0[si] < 0.0) pass_t0[si] = span_begin(tr);
@@ -1100,91 +809,13 @@ void run_passes_overlap(PassCtx& ctx) {
         my.times.add("KmerGen-Comm", wait_timer.seconds());
       }
 
-      // ---- LocalSort: the fine-grained exchange already delivered every
-      // tuple into its dest thread's region, so only the stable radix sort
-      // remains (barrier mode's partition copy is structurally gone). ----
-      progress_phase(ctx, "LocalSort");
-      {
-        const double sort_t0 = span_begin(tr);
-        WallTimer sort_timer;
-        TupleBuffer scratch = acquire_tuples(g.total_in);
-        ScopeExit scratch_guard([&] { release_tuples(std::move(scratch)); });
-        team.run([&](int t) {
-          const std::uint64_t rlo = g.region_start[static_cast<std::size_t>(t)];
-          const std::uint64_t rhi = g.region_start[static_cast<std::size_t>(t) + 1];
-          const std::size_t n = rhi - rlo;
-          if (n == 0) return;
-          if (!wide) {
-            sort::radix_sort_kv64(std::span(tuples.keys).subspan(rlo, n),
-                                  std::span(tuples.vals).subspan(rlo, n),
-                                  std::span(scratch.keys).subspan(rlo, n),
-                                  std::span(scratch.vals).subspan(rlo, n), 2 * k,
-                                  config.sort_digit_bits);
-          } else {
-            sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(rlo, n),
-                                   std::span(tuples.keys).subspan(rlo, n),
-                                   std::span(tuples.vals).subspan(rlo, n),
-                                   std::span(scratch.keys_hi).subspan(rlo, n),
-                                   std::span(scratch.keys).subspan(rlo, n),
-                                   std::span(scratch.vals).subspan(rlo, n), 2 * k,
-                                   config.sort_digit_bits);
-          }
-        });
-        scratch_guard.dismiss();
-        release_tuples(std::move(scratch));
-        my.times.add("LocalSort", sort_timer.seconds());
-        span_end(tr, "LocalSort", sort_t0);
-        phase_boundary(ctx, "LocalSort");
-      }
-
-      // ---- LocalCC: identical to barrier mode, over the sorted regions. ----
-      progress_phase(ctx, "LocalCC");
-      {
-        const double cc_t0 = span_begin(tr);
-        WallTimer cc_timer;
-        std::vector<int> thread_iters(static_cast<std::size_t>(T), 0);
-        team.run([&](int t) {
-          const std::uint64_t rlo = g.region_start[static_cast<std::size_t>(t)];
-          const std::uint64_t rhi = g.region_start[static_cast<std::size_t>(t) + 1];
-          std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-          std::uint64_t i2 = rlo;
-          while (i2 < rhi) {
-            std::uint64_t j = i2 + 1;
-            if (!wide) {
-              while (j < rhi && tuples.keys[j] == tuples.keys[i2]) ++j;
-            } else {
-              while (j < rhi && tuples.keys[j] == tuples.keys[i2] &&
-                     tuples.keys_hi[j] == tuples.keys_hi[i2])
-                ++j;
-            }
-            const std::uint64_t freq = j - i2;
-            if (config.filter.accepts(freq)) {
-              for (std::uint64_t x = i2 + 1; x < j; ++x) {
-                const std::uint32_t u = tuples.vals[x - 1];
-                const std::uint32_t v = tuples.vals[x];
-                if (u == v) continue;
-                if (u == kInvalidRead || v == kInvalidRead) continue;
-                const std::uint32_t ru = local_cc.find(u);
-                const std::uint32_t rv = local_cc.find(v);
-                if (ru != rv) {
-                  local_cc.unite_once(ru, rv);
-                  edges.emplace_back(u, v);
-                }
-              }
-            }
-            i2 = j;
-          }
-          thread_iters[static_cast<std::size_t>(t)] =
-              1 + dsu::process_edges_algorithm1(local_cc, edges);
-          ctx.m_cc_edges.add(edges.size());
-        });
-        my.times.add("LocalCC", cc_timer.seconds());
-        span_end(tr, "LocalCC", cc_t0);
-        phase_boundary(ctx, "LocalCC");
-        my.cc_iterations =
-            std::max(my.cc_iterations,
-                     *std::max_element(thread_iters.begin(), thread_iters.end()));
-      }
+      TupleBuffer scratch = acquire_tuples(g.total_in);
+      ScopeExit scratch_guard([&] { release_tuples(std::move(scratch)); });
+      // Only lenient parsing can skip a record the histograms counted.
+      sort_and_union(ctx, tuples, scratch, g.region_start,
+                     config.parse_mode == io::ParseMode::kLenient);
+      scratch_guard.dismiss();
+      release_tuples(std::move(scratch));
 
       release_tuples(std::move(tuples));
       recv_buf[si] = TupleBuffer{};
@@ -1196,29 +827,27 @@ void run_passes_overlap(PassCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Compressed exchange (--comm-compress): super-k-mer aggregation and/or the
-// counting-Bloom singleton prefilter over a variable-size staged exchange.
+// Super-k-mer pass engine (--comm-compress=superkmer) over a variable-size
+// staged exchange.
 //
-// Routing.  superkmer/both route whole runs by minimizer-hash bin
-// (kmer::minimizer_bin): the minimizer is a deterministic function of the
-// canonical k-mer, so every occurrence of a k-mer lands on one
-// (pass, rank, thread) and frequency counting stays global.  bloom-only
-// keeps the prefix-bin routing of the uncompressed schedules.  Payloads are
-// variable-size, so the precomputed-offset all-to-all is replaced by exactly
-// one isend per (src, dest, pass) — sent even when empty, so the receive
-// loop has a deterministic message count and World::finalize_check stays
-// clean.
+// Routing.  Whole runs route by minimizer-hash bin (kmer::minimizer_bin):
+// the minimizer is a deterministic function of the canonical k-mer, so
+// every occurrence of a k-mer lands on one (pass, rank, thread) and
+// frequency counting stays global.  Payloads are variable-size, so the
+// precomputed-offset exchange is replaced by exactly one isend per (src,
+// dest, pass) — sent even when empty, so the receive loop has a
+// deterministic message count and World::finalize_check stays clean.
 //
 // Message layout per (src -> dest, pass): u64 lens[T] header (bytes per
 // dest-thread section), then section dt = 0..T-1, each the concatenation of
 // the source's T thread streams for slot d*T+dt.  The receiver sizes T sort
 // regions (one per dest thread, blocks ordered by src rank — the same order
-// the uncompressed schedules produce), expands records at exact offsets,
-// then LocalSort/LocalCC run unchanged.  Equivalence arguments: DESIGN.md
+// the fixed-tuple engine produces), expands records at exact offsets, then
+// runs the shared LocalSort/LocalCC.  Equivalence arguments: DESIGN.md
 // "Exchange compression".
 // ---------------------------------------------------------------------------
 
-/// Tag space disjoint from barrier (1000+), overlap (2'000'000+), and
+/// Tag space disjoint from the fixed-tuple exchange (2'000'000+) and
 /// MergeCC (1<<20): one tag per pass.
 constexpr int kCompressTagBase = 3'000'000;
 
@@ -1243,201 +872,101 @@ struct SuperKmerScratch {
   std::vector<std::uint64_t> km_hi;
 };
 
+/// 2-bit code of base i of a record.  Only called for positions inside a
+/// valid super-k-mer run, which the scanner guarantees is free of invalid
+/// bases.
+inline std::uint8_t code_at(std::string_view seq, std::size_t i) {
+  return kmer::base_code(seq[i]);
+}
+inline std::uint8_t code_at(const io::PackedStore::Record& rec, std::size_t i) {
+  return static_cast<std::uint8_t>((rec.words[i >> 5] >> (2 * (i & 31))) & 3u);
+}
+
 /// Enumerate a record's super-k-mer runs; fn(start, kmer_count, minimizer).
 /// Fills sc.km_lo/km_hi with the canonical k-mer per window first so the
-/// caller can hash/encode the run's k-mers by position.
-template <typename Fn>
-void for_each_run(SuperKmerScratch& sc, const RecordView& rec, int k, int msk,
-                  bool wide, Fn&& fn) {
-  if (rec.len < static_cast<std::uint32_t>(k)) return;
-  const std::uint32_t nwin = rec.len - static_cast<std::uint32_t>(k) + 1;
+/// caller can encode the run's k-mers by position.
+template <typename Rec, typename Fn>
+void for_each_run(SuperKmerScratch& sc, const Rec& rec, int k, int msk, bool wide,
+                  Fn&& fn) {
+  constexpr bool kText = std::is_same_v<Rec, std::string_view>;
+  std::uint32_t len = 0;
+  if constexpr (kText) {
+    len = static_cast<std::uint32_t>(rec.size());
+  } else {
+    len = rec.len;
+  }
+  if (len < static_cast<std::uint32_t>(k)) return;
+  const std::uint32_t nwin = len - static_cast<std::uint32_t>(k) + 1;
   sc.km_lo.resize(nwin);
   if (wide) sc.km_hi.resize(nwin);
-  if (rec.words != nullptr) {
-    if (!wide) {
-      kmer::for_each_canonical_kmer64_packed(
-          rec.words, rec.len, rec.npos, rec.ncount, k,
-          [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; });
-    } else {
-      kmer::for_each_canonical_kmer128_packed(
-          rec.words, rec.len, rec.npos, rec.ncount, k, [&](kmer::Kmer128 km, std::size_t pos) {
-            sc.km_lo[pos] = km.lo;
-            sc.km_hi[pos] = km.hi;
-          });
-    }
-    sc.scanner.scan_packed(rec.words, rec.len, rec.npos, rec.ncount, k, msk,
-                           std::forward<Fn>(fn));
-  } else {
-    const std::string_view seq(rec.text, rec.len);
-    if (!wide) {
-      kmer::for_each_canonical_kmer64(
-          seq, k, [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; });
-    } else {
-      kmer::for_each_canonical_kmer128(seq, k, [&](kmer::Kmer128 km, std::size_t pos) {
+  for_each_record_kmer(
+      rec, k, wide, [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; },
+      [&](kmer::Kmer128 km, std::size_t pos) {
         sc.km_lo[pos] = km.lo;
         sc.km_hi[pos] = km.hi;
       });
-    }
-    sc.scanner.scan(seq, k, msk, std::forward<Fn>(fn));
+  if constexpr (kText) {
+    sc.scanner.scan(rec, k, msk, std::forward<Fn>(fn));
+  } else {
+    sc.scanner.scan_packed(rec.words, rec.len, rec.npos, rec.ncount, k, msk,
+                           std::forward<Fn>(fn));
   }
 }
 
-/// One pass's routing geometry for the compressed exchange: the bin range
-/// plus a bin -> slot (d*T+dt) table, uniform over minimizer-hash bins in
-/// superkmer modes, the PassPlan's prefix-bin geometry in bloom-only mode.
+/// One pass's routing geometry for the super-k-mer exchange: the pass's
+/// minimizer-hash bin range plus a uniform bin -> slot (d*T+dt) table.
 struct CompressPassGeom {
   std::uint32_t lo = 0, hi = 0;
   std::vector<std::uint16_t> slot_of_bin;  ///< bin - lo -> slot d*T+dt
 };
 
-struct CompressPlan {
-  bool superkmer = false;
-  bool bloom = false;
-  std::uint32_t nbins = 0;
-  std::vector<CompressPassGeom> pass;      ///< S entries
-  std::vector<std::uint16_t> rank_of_bin;  ///< global bin -> owner rank
-};
-
-CompressPlan make_compress_plan(const PassPlan& plan, int S, int P, int T,
-                                std::uint32_t prefix_nbins, bool superkmer,
-                                bool bloom) {
-  CompressPlan cp;
-  cp.superkmer = superkmer;
-  cp.bloom = bloom;
+std::vector<CompressPassGeom> make_compress_plan(int S, int P, int T) {
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  cp.pass.resize(static_cast<std::size_t>(S));
-  if (superkmer) {
-    cp.nbins = kmer::kNumMinimizerBins;
-    const auto pass_bounds = util::split_range(cp.nbins, S);
-    for (int s = 0; s < S; ++s) {
-      CompressPassGeom& pg = cp.pass[static_cast<std::size_t>(s)];
-      pg.lo = static_cast<std::uint32_t>(pass_bounds[static_cast<std::size_t>(s)]);
-      pg.hi = static_cast<std::uint32_t>(pass_bounds[static_cast<std::size_t>(s) + 1]);
-      const auto slot_rel = util::split_range(pg.hi - pg.lo, static_cast<int>(nslots));
-      std::vector<std::uint32_t> bounds(nslots + 1);
-      for (std::size_t i = 0; i <= nslots; ++i)
-        bounds[i] = pg.lo + static_cast<std::uint32_t>(slot_rel[i]);
-      pg.slot_of_bin = bin_owner_table(bounds);
-    }
-  } else {
-    cp.nbins = prefix_nbins;
-    for (int s = 0; s < S; ++s) {
-      CompressPassGeom& pg = cp.pass[static_cast<std::size_t>(s)];
-      pg.lo = plan.pass_range(s).begin;
-      pg.hi = plan.pass_range(s).end;
-      std::vector<std::uint32_t> bounds;
-      bounds.reserve(nslots + 1);
-      bounds.push_back(plan.thread_bounds(s, 0).front());
-      for (int d = 0; d < P; ++d) {
-        const auto& tb = plan.thread_bounds(s, d);
-        for (int t = 1; t <= T; ++t) bounds.push_back(tb[static_cast<std::size_t>(t)]);
-      }
-      pg.slot_of_bin = bin_owner_table(bounds);
-    }
-  }
-  cp.rank_of_bin.assign(cp.nbins, 0);
+  std::vector<CompressPassGeom> plan(static_cast<std::size_t>(S));
+  const auto pass_bounds = util::split_range(kmer::kNumMinimizerBins, S);
   for (int s = 0; s < S; ++s) {
-    const CompressPassGeom& pg = cp.pass[static_cast<std::size_t>(s)];
-    for (std::uint32_t b = pg.lo; b < pg.hi; ++b) {
-      cp.rank_of_bin[b] =
-          static_cast<std::uint16_t>(pg.slot_of_bin[b - pg.lo] / static_cast<unsigned>(T));
-    }
+    CompressPassGeom& pg = plan[static_cast<std::size_t>(s)];
+    pg.lo = static_cast<std::uint32_t>(pass_bounds[static_cast<std::size_t>(s)]);
+    pg.hi = static_cast<std::uint32_t>(pass_bounds[static_cast<std::size_t>(s) + 1]);
+    const auto slot_rel = util::split_range(pg.hi - pg.lo, static_cast<int>(nslots));
+    std::vector<std::uint32_t> bounds(nslots + 1);
+    for (std::size_t i = 0; i <= nslots; ++i)
+      bounds[i] = pg.lo + static_cast<std::uint32_t>(slot_rel[i]);
+    pg.slot_of_bin = bin_owner_table(bounds);
   }
-  return cp;
+  return plan;
 }
 
-/// The compressed pass scheduler.  Barrier mode runs one pass per group;
-/// overlap mode fuses two passes per chunk sweep (same grouping as
-/// run_passes_overlap, same one-group-staler §3.5.1 substitution).
-/// @p blooms is non-null in bloom/both modes: P destination-owned counting
-/// Blooms, globally counted in a pre-scan below (shared-memory stand-in for
-/// an MPI-3 one-sided accumulate window; DESIGN.md).
-void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
-                           std::vector<kmer::CountingBloom>* blooms) {
+/// The super-k-mer pass engine: the same grouping by G and the same §3.5.1
+/// substitution as run_passes_fixed.
+void run_passes_compressed(PassCtx& ctx, const std::vector<CompressPassGeom>& cplan) {
   const MetaprepConfig& config = ctx.config;
   const ChunkAssignment& ca = ctx.ca;
   mpsim::Comm& comm = ctx.comm;
   ThreadTeam& team = ctx.team;
-  dsu::AtomicDSU& local_cc = ctx.local_cc;
   RankShared& my = ctx.my;
   obs::TraceSession& tr = ctx.tr;
-  const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k, m = ctx.m;
+  const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k;
   const bool wide = ctx.wide;
   const int msk = config.superkmer_minimizer_len;
   const std::uint64_t tuple_bytes = wide ? 20 : 12;
-  const std::size_t fixed_rec = wide ? 20 : 12;  ///< bloom-only record size
   const std::uint32_t R = ctx.index.total_reads;
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  const int group_sz = config.pipeline_mode == PipelineMode::kOverlap ? 2 : 1;
-
-  auto hash_at = [&](const SuperKmerScratch& sc, std::uint32_t pos) {
-    return wide ? kmer::kmer_hash128(sc.km_hi[pos], sc.km_lo[pos])
-                : kmer::kmer_hash64(sc.km_lo[pos]);
-  };
-
-  // ---- BloomCount: one extra scan over this rank's chunks inserting every
-  // k-mer occurrence into its destination rank's filter, so counts are
-  // global before any drop decision.  The barrier publishes all inserts
-  // (count() is read-only afterwards); a k-mer seen once on each of two
-  // ranks still counts 2 at its single destination, so only true global
-  // singletons can be suppressed. ----
-  if (blooms != nullptr) {
-    progress_phase(ctx, "BloomCount");
-    const double bc_t0 = span_begin(tr);
-    WallTimer bc_timer;
-    team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
-      double io_s = 0.0, gen_s = 0.0;  // folded into BloomCount's own step wall
-      if (cplan.superkmer) {
-        SuperKmerScratch sc;
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          scan_chunk_records(
-              ctx, c, false, io_s, gen_s, false,
-              [&](std::uint32_t, const RecordView& rec) {
-                for_each_run(sc, rec, k, msk, wide,
-                             [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
-                               kmer::CountingBloom& bl =
-                                   (*blooms)[cplan.rank_of_bin[kmer::minimizer_bin(mz)]];
-                               for (std::uint32_t j = 0; j < count; ++j)
-                                 bl.insert(hash_at(sc, start + j));
-                             });
-              });
-        }
-      } else {
-        auto count64 = [&](std::uint64_t km, std::uint32_t) {
-          const std::uint32_t bin = kmer::prefix_bin64(km, k, m);
-          (*blooms)[cplan.rank_of_bin[bin]].insert(kmer::kmer_hash64(km));
-        };
-        auto count128 = [&](kmer::Kmer128 km, std::uint32_t) {
-          const std::uint32_t bin = kmer::prefix_bin128(km, k, m);
-          (*blooms)[cplan.rank_of_bin[bin]].insert(kmer::kmer_hash128(km.hi, km.lo));
-        };
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          scan_chunk(ctx, c, false, io_s, gen_s, count64, count128, false);
-        }
-      }
-    });
-    comm.barrier();  // happens-before: all inserts visible to all readers
-    my.times.add("BloomCount", bc_timer.seconds());
-    span_end(tr, "BloomCount", bc_t0);
-    phase_boundary(ctx, "BloomCount");
-  }
+  const int G = group_size(config);
 
   TupleBuffer tuples;
   TupleBuffer scratch;
   tuples.wide = wide;
   scratch.wide = wide;
 
-  for (int s0 = 0; s0 < S; s0 += group_sz) {
+  for (int s0 = 0; s0 < S; s0 += G) {
     util::throw_if_cancelled(ctx.config.cancel_token, "compressed pass group");
-    const int npasses = std::min(group_sz, S - s0);
+    const int npasses = std::min(G, S - s0);
     std::array<double, 2> pass_t0{span_begin(tr), -1.0};
-    const std::uint32_t g0lo = cplan.pass[static_cast<std::size_t>(s0)].lo;
-    const std::uint32_t g0hi = cplan.pass[static_cast<std::size_t>(s0)].hi;
-    const std::uint32_t g1lo =
-        npasses > 1 ? cplan.pass[static_cast<std::size_t>(s0) + 1].lo : 0;
-    const std::uint32_t g1hi =
-        npasses > 1 ? cplan.pass[static_cast<std::size_t>(s0) + 1].hi : 0;
+    const std::uint32_t g0lo = cplan[static_cast<std::size_t>(s0)].lo;
+    const std::uint32_t g0hi = cplan[static_cast<std::size_t>(s0)].hi;
+    const std::uint32_t g1lo = npasses > 1 ? cplan[static_cast<std::size_t>(s0) + 1].lo : 0;
+    const std::uint32_t g1hi = npasses > 1 ? cplan[static_cast<std::size_t>(s0) + 1].hi : 0;
 
     // Per (pass-in-group, my thread, slot) byte streams; concatenated into
     // one message per (dest, pass) below.
@@ -1447,7 +976,7 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
           static_cast<std::size_t>(T), std::vector<std::vector<std::byte>>(nslots));
     }
 
-    // ---- KmerGen (fused over the group in overlap mode): emit wire
+    // ---- KmerGen (fused over the group): emit wire
     // records instead of fixed tuples.  Lenient-parse skips simply emit
     // nothing — variable-size messages need no sentinel padding. ----
     const bool substitute_components = config.cc_opt && s0 > 0;
@@ -1455,9 +984,8 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
     std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
     std::vector<std::uint64_t> skip_counts(static_cast<std::size_t>(T), 0);
     std::vector<std::uint64_t> raw_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> kept_counts(static_cast<std::size_t>(T), 0);
+    std::vector<std::uint64_t> kmer_counts(static_cast<std::size_t>(T), 0);
     std::vector<std::uint64_t> rec_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> drop_counts(static_cast<std::size_t>(T), 0);
     progress_phase(ctx, "KmerGen");
     team.run([&](int t) {
       obs::TraceSession::set_thread_identity(p, t);
@@ -1468,97 +996,32 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
         if (npasses > 1 && bin >= g1lo && bin < g1hi) return 1;
         return -1;
       };
-      if (cplan.superkmer) {
-        SuperKmerScratch sc;
-        auto handle_record = [&](std::uint32_t value, const RecordView& rec) {
-          for_each_run(sc, rec, k, msk, wide,
-                       [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
-            const std::uint32_t bin = kmer::minimizer_bin(mz);
-            const int i = group_pass_of(bin);
-            if (i < 0) return;
-            const CompressPassGeom& pg = cplan.pass[static_cast<std::size_t>(s0 + i)];
-            const std::uint16_t slot = pg.slot_of_bin[bin - pg.lo];
-            const int d = slot / T;
-            std::vector<std::byte>& stream =
-                streams[static_cast<std::size_t>(i)][ut][slot];
-            if (d != p) raw_counts[ut] += count;
-            auto emit_subrun = [&](std::uint32_t a, std::uint32_t cnt) {
-              while (cnt > 0) {
-                const std::uint32_t take = std::min(cnt, kmer::kMaxSuperKmerRun);
-                kmer::append_superkmer_record(
-                    stream, value, take, k,
-                    [&](std::size_t j) { return rec.code_at(start + a + j); });
-                ++rec_counts[ut];
-                a += take;
-                cnt -= take;
-              }
-            };
-            if (blooms == nullptr) {
-              kept_counts[ut] += count;
-              emit_subrun(0, count);
-            } else {
-              // Bloom-surviving maximal sub-runs: every k-mer in a kept
-              // sub-run has global count >= 2 at its (single) destination.
-              const kmer::CountingBloom& bl = (*blooms)[d];
-              std::uint32_t a = 0;
-              while (a < count) {
-                if (bl.count(hash_at(sc, start + a)) < 2) {
-                  ++drop_counts[ut];
-                  ++a;
-                  continue;
-                }
-                std::uint32_t b = a + 1;
-                while (b < count && bl.count(hash_at(sc, start + b)) >= 2) ++b;
-                kept_counts[ut] += b - a;
-                emit_subrun(a, b - a);
-                a = b;
-              }
-            }
-          });
-        };
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          skip_counts[ut] += scan_chunk_records(ctx, c, substitute_components,
-                                                io_seconds[ut], gen_seconds[ut],
-                                                true, handle_record);
-        }
-      } else {
-        // bloom-only: prefix-bin routing, fixed-size (k-mer, value) records.
-        auto route = [&](std::uint32_t bin) -> std::pair<int, std::vector<std::byte>*> {
+      SuperKmerScratch sc;
+      auto handle_record = [&](std::uint32_t value, const auto& rec) {
+        for_each_run(sc, rec, k, msk, wide,
+                     [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
+          const std::uint32_t bin = kmer::minimizer_bin(mz);
           const int i = group_pass_of(bin);
-          if (i < 0) return {-1, nullptr};
-          const CompressPassGeom& pg = cplan.pass[static_cast<std::size_t>(s0 + i)];
+          if (i < 0) return;
+          const CompressPassGeom& pg = cplan[static_cast<std::size_t>(s0 + i)];
           const std::uint16_t slot = pg.slot_of_bin[bin - pg.lo];
-          return {slot / T, &streams[static_cast<std::size_t>(i)][ut][slot]};
-        };
-        auto emit64 = [&](std::uint64_t km, std::uint32_t value) {
-          const auto [d, stream] = route(kmer::prefix_bin64(km, k, m));
-          if (d < 0) return;
-          if (d != p) ++raw_counts[ut];
-          if ((*blooms)[d].count(kmer::kmer_hash64(km)) < 2) {
-            ++drop_counts[ut];
-            return;
+          const int d = slot / T;
+          std::vector<std::byte>& stream = streams[static_cast<std::size_t>(i)][ut][slot];
+          if (d != p) raw_counts[ut] += count;
+          kmer_counts[ut] += count;
+          for (std::uint32_t a = 0; a < count;) {
+            const std::uint32_t take = std::min(count - a, kmer::kMaxSuperKmerRun);
+            kmer::append_superkmer_record(
+                stream, value, take, k,
+                [&](std::size_t j) { return code_at(rec, start + a + j); });
+            ++rec_counts[ut];
+            a += take;
           }
-          ++kept_counts[ut];
-          append_le(*stream, km, 8);
-          append_le(*stream, value, 4);
-        };
-        auto emit128 = [&](kmer::Kmer128 km, std::uint32_t value) {
-          const auto [d, stream] = route(kmer::prefix_bin128(km, k, m));
-          if (d < 0) return;
-          if (d != p) ++raw_counts[ut];
-          if ((*blooms)[d].count(kmer::kmer_hash128(km.hi, km.lo)) < 2) {
-            ++drop_counts[ut];
-            return;
-          }
-          ++kept_counts[ut];
-          append_le(*stream, km.lo, 8);
-          append_le(*stream, km.hi, 8);
-          append_le(*stream, value, 4);
-        };
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          skip_counts[ut] += scan_chunk(ctx, c, substitute_components, io_seconds[ut],
-                                        gen_seconds[ut], emit64, emit128);
-        }
+        });
+      };
+      for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
+        skip_counts[ut] += scan_chunk_records(ctx, c, substitute_components, io_seconds[ut],
+                                              gen_seconds[ut], handle_record);
       }
     });
     my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
@@ -1569,10 +1032,9 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
     for (int t = 0; t < T; ++t) {
       const std::size_t ut = static_cast<std::size_t>(t);
       my.exchange_bytes_raw += raw_counts[ut] * tuple_bytes;
-      my.tuples += kept_counts[ut];
-      my.bloom_dropped += drop_counts[ut];
-      if (cplan.superkmer) my.superkmer_records += rec_counts[ut];
-      ctx.m_tuples.add(kept_counts[ut]);
+      my.tuples += kmer_counts[ut];
+      my.superkmer_records += rec_counts[ut];
+      ctx.m_tuples.add(kmer_counts[ut]);
     }
     phase_boundary(ctx, "KmerGen");
 
@@ -1646,8 +1108,8 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
       // ---- Expand: size the T sort regions from the headers, validate
       // and count every record, then decode at exact offsets in parallel.
       // Region dt holds blocks ordered by src rank q ascending — the same
-      // (src rank, src thread, generation order) sequence the uncompressed
-      // schedules deliver, so the stable sort sees equivalent input. ----
+      // (src rank, src thread, generation order) sequence the fixed-tuple
+      // engine delivers, so the stable sort sees equivalent input. ----
       progress_phase(ctx, "Expand");
       const double ex_t0 = span_begin(tr);
       WallTimer ex_timer;
@@ -1674,13 +1136,7 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
         for (int q = 0; q < P; ++q) {
           const std::size_t idx = static_cast<std::size_t>(q) * T + t;
           const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
-          if (cplan.superkmer) {
-            block_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
-          } else {
-            if (sec_len[idx] % fixed_rec != 0)
-              throw util::parse_error("comm-compress: truncated tuple record");
-            block_count[idx] = sec_len[idx] / fixed_rec;
-          }
+          block_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
         }
       });
       std::vector<std::uint64_t> region_start(static_cast<std::size_t>(T) + 1, 0);
@@ -1711,38 +1167,24 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
           const std::size_t idx = static_cast<std::size_t>(q) * T + t;
           const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
           std::uint64_t at = block_off[idx];
-          if (cplan.superkmer) {
-            kmer::SuperKmerReader reader(data, sec_len[idx], k);
-            while (!reader.done()) {
-              reader.next_header();
-              const std::uint32_t value = reader.value();
-              if (value >= R)
-                throw util::parse_error("comm-compress: record value out of range");
-              if (!wide) {
-                reader.expand64([&](std::uint64_t km) {
-                  tuples.keys[at] = km;
-                  tuples.vals[at] = value;
-                  ++at;
-                });
-              } else {
-                reader.expand128([&](kmer::Kmer128 km) {
-                  tuples.keys[at] = km.lo;
-                  tuples.keys_hi[at] = km.hi;
-                  tuples.vals[at] = value;
-                  ++at;
-                });
-              }
-            }
-          } else {
-            for (const std::byte* rp = data; rp != data + sec_len[idx]; rp += fixed_rec) {
-              const std::uint32_t value =
-                  static_cast<std::uint32_t>(read_le(rp + fixed_rec - 4, 4));
-              if (value >= R)
-                throw util::parse_error("comm-compress: record value out of range");
-              tuples.keys[at] = read_le(rp, 8);
-              if (wide) tuples.keys_hi[at] = read_le(rp + 8, 8);
-              tuples.vals[at] = value;
-              ++at;
+          kmer::SuperKmerReader reader(data, sec_len[idx], k);
+          while (!reader.done()) {
+            reader.next_header();
+            const std::uint32_t value = reader.value();
+            if (value >= R) throw util::parse_error("comm-compress: record value out of range");
+            if (!wide) {
+              reader.expand64([&](std::uint64_t km) {
+                tuples.keys[at] = km;
+                tuples.vals[at] = value;
+                ++at;
+              });
+            } else {
+              reader.expand128([&](kmer::Kmer128 km) {
+                tuples.keys[at] = km.lo;
+                tuples.keys_hi[at] = km.hi;
+                tuples.vals[at] = value;
+                ++at;
+              });
             }
           }
         }
@@ -1751,85 +1193,7 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
       span_end(tr, "Expand", ex_t0);
       phase_boundary(ctx, "Expand");
 
-      // ---- LocalSort: stable radix per dest-thread region. ----
-      progress_phase(ctx, "LocalSort");
-      {
-        const double sort_t0 = span_begin(tr);
-        WallTimer sort_timer;
-        team.run([&](int t) {
-          const std::uint64_t rlo = region_start[static_cast<std::size_t>(t)];
-          const std::uint64_t rhi = region_start[static_cast<std::size_t>(t) + 1];
-          const std::size_t n = rhi - rlo;
-          if (n == 0) return;
-          if (!wide) {
-            sort::radix_sort_kv64(std::span(tuples.keys).subspan(rlo, n),
-                                  std::span(tuples.vals).subspan(rlo, n),
-                                  std::span(scratch.keys).subspan(rlo, n),
-                                  std::span(scratch.vals).subspan(rlo, n), 2 * k,
-                                  config.sort_digit_bits);
-          } else {
-            sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(rlo, n),
-                                   std::span(tuples.keys).subspan(rlo, n),
-                                   std::span(tuples.vals).subspan(rlo, n),
-                                   std::span(scratch.keys_hi).subspan(rlo, n),
-                                   std::span(scratch.keys).subspan(rlo, n),
-                                   std::span(scratch.vals).subspan(rlo, n), 2 * k,
-                                   config.sort_digit_bits);
-          }
-        });
-        my.times.add("LocalSort", sort_timer.seconds());
-        span_end(tr, "LocalSort", sort_t0);
-        phase_boundary(ctx, "LocalSort");
-      }
-
-      // ---- LocalCC: identical to the uncompressed schedules.  Decoded
-      // values are validated < R above, so no sentinel guard is needed. ----
-      progress_phase(ctx, "LocalCC");
-      {
-        const double cc_t0 = span_begin(tr);
-        WallTimer cc_timer;
-        std::vector<int> thread_iters(static_cast<std::size_t>(T), 0);
-        team.run([&](int t) {
-          const std::uint64_t rlo = region_start[static_cast<std::size_t>(t)];
-          const std::uint64_t rhi = region_start[static_cast<std::size_t>(t) + 1];
-          std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-          std::uint64_t i2 = rlo;
-          while (i2 < rhi) {
-            std::uint64_t j = i2 + 1;
-            if (!wide) {
-              while (j < rhi && tuples.keys[j] == tuples.keys[i2]) ++j;
-            } else {
-              while (j < rhi && tuples.keys[j] == tuples.keys[i2] &&
-                     tuples.keys_hi[j] == tuples.keys_hi[i2])
-                ++j;
-            }
-            const std::uint64_t freq = j - i2;
-            if (config.filter.accepts(freq)) {
-              for (std::uint64_t x = i2 + 1; x < j; ++x) {
-                const std::uint32_t u = tuples.vals[x - 1];
-                const std::uint32_t v = tuples.vals[x];
-                if (u == v) continue;
-                const std::uint32_t ru = local_cc.find(u);
-                const std::uint32_t rv = local_cc.find(v);
-                if (ru != rv) {
-                  local_cc.unite_once(ru, rv);
-                  edges.emplace_back(u, v);
-                }
-              }
-            }
-            i2 = j;
-          }
-          thread_iters[static_cast<std::size_t>(t)] =
-              1 + dsu::process_edges_algorithm1(local_cc, edges);
-          ctx.m_cc_edges.add(edges.size());
-        });
-        my.times.add("LocalCC", cc_timer.seconds());
-        span_end(tr, "LocalCC", cc_t0);
-        phase_boundary(ctx, "LocalCC");
-        my.cc_iterations =
-            std::max(my.cc_iterations,
-                     *std::max_element(thread_iters.begin(), thread_iters.end()));
-      }
+      sort_and_union(ctx, tuples, scratch, region_start, /*sentinels=*/false);
       ctx.m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
       span_end(tr, "Pass", pass_t0[si]);
     }
@@ -1872,6 +1236,13 @@ void write_comm_matrix(const std::string& path, int ranks,
 
 }  // namespace
 
+CommCompress parse_comm_compress(const std::string& name) {
+  if (name == "none") return CommCompress::kNone;
+  if (name == "superkmer") return CommCompress::kSuperKmer;
+  throw util::config_error("--comm-compress must be 'none' or 'superkmer' (got '" + name +
+                           "')");
+}
+
 PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& config) {
   const int k = config.k;
   if (k != index.k)
@@ -1883,23 +1254,14 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   if (P < 1 || T < 1) throw util::config_error("run_metaprep: P and T must be >= 1");
   if (config.output_bins < 0 || config.output_bins > 0xFFFF)
     throw util::config_error("run_metaprep: output_bins must be in [0, 65535]");
-  const bool compress = config.comm_compress != CommCompress::kNone;
-  const bool cp_superkmer = config.comm_compress == CommCompress::kSuperKmer ||
-                            config.comm_compress == CommCompress::kBoth;
-  const bool cp_bloom = config.comm_compress == CommCompress::kBloom ||
-                        config.comm_compress == CommCompress::kBoth;
+  const bool compress = config.comm_compress == CommCompress::kSuperKmer;
   if (compress) {
     if (static_cast<std::size_t>(P) * static_cast<std::size_t>(T) > 0xFFFF)
       throw util::config_error("comm-compress: P*T must fit the 16-bit slot table");
-    if (cp_superkmer &&
-        (config.superkmer_minimizer_len < 1 ||
-         config.superkmer_minimizer_len > std::min(k, 31)))
+    if (config.superkmer_minimizer_len < 1 ||
+        config.superkmer_minimizer_len > std::min(k, 31))
       throw util::config_error(
           "comm-compress: superkmer_minimizer_len must be in [1, min(k, 31)]");
-    if (cp_bloom && (config.bloom_counters_per_key < 1 || config.bloom_hashes < 1 ||
-                     config.bloom_hashes > 8))
-      throw util::config_error(
-          "comm-compress: bloom_counters_per_key must be >= 1 and bloom_hashes in [1, 8]");
   }
   const bool wide = k > kmer::kMaxK64;
   const int tuple_bytes = wide ? 20 : 12;
@@ -1977,31 +1339,10 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
 
   const PassPlan plan(index.mer_hist, S, P, T);
   const ChunkAssignment ca(index.part.num_chunks(), P, T);
-  const std::size_t nbins = index.mer_hist.counts.size();
 
-  // Exchange-compression routing plan and (bloom modes) the P destination-
-  // owned counting filters.  Each filter is sized for its rank's expected
-  // share of k-mer occurrences; the bloom bytes are charged to their own
-  // memory subsystem and are deliberately NOT wire traffic (a shared-memory
-  // stand-in for an MPI-3 one-sided accumulate window; DESIGN.md).
-  CompressPlan cplan;
-  if (compress) {
-    cplan = make_compress_plan(plan, S, P, T, static_cast<std::uint32_t>(nbins),
-                               cp_superkmer, cp_bloom);
-  }
-  std::vector<kmer::CountingBloom> blooms;
-  std::uint64_t bloom_bytes = 0;
-  if (cp_bloom) {
-    const std::uint64_t expected =
-        std::max<std::uint64_t>(1, mm.total_tuples / static_cast<std::uint64_t>(P));
-    blooms.reserve(static_cast<std::size_t>(P));
-    for (int d = 0; d < P; ++d) {
-      blooms.emplace_back(expected, config.bloom_counters_per_key, config.bloom_hashes,
-                          config.bloom_seed + static_cast<std::uint64_t>(d));
-      bloom_bytes += blooms.back().memory_bytes();
-    }
-    obs::mem_charge("bloom", bloom_bytes);
-  }
+  // Super-k-mer routing plan (minimizer-hash bins per pass and slot).
+  std::vector<CompressPassGeom> cplan;
+  if (compress) cplan = make_compress_plan(S, P, T);
 
   // Observability: when the config names output files, this run owns its
   // session's tracer/metrics (cleared + enabled here, exported after the
@@ -2030,14 +1371,13 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     memreg.set_enabled(true);
   }
   // --progress: one stderr line driven by the pipeline's phase boundaries.
-  // Total ticks = chunk reads per KmerGen sweep (overlap mode reads each
-  // chunk once per pass *group*) plus the CC-I/O sweep when output is on.
+  // Total ticks = chunk reads per KmerGen sweep (one sweep per pass
+  // *group*) plus the CC-I/O sweep when output is on.
   obs::Progress& prog = obs::Progress::global();
   if (config.progress) {
     const std::uint64_t nchunks = index.part.num_chunks();
-    const std::uint64_t sweeps = config.pipeline_mode == PipelineMode::kOverlap
-                                     ? (static_cast<std::uint64_t>(S) + 1) / 2
-                                     : static_cast<std::uint64_t>(S);
+    const auto G = static_cast<std::uint64_t>(group_size(config));
+    const std::uint64_t sweeps = (static_cast<std::uint64_t>(S) + G - 1) / G;
     prog.set_enabled(true);
     prog.begin_run(nchunks * sweeps + (config.write_output ? nchunks : 0));
   }
@@ -2133,11 +1473,9 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
                 p,      P,      T,      S,
                 k,      m,      wide};
     if (compress) {
-      run_passes_compressed(ctx, cplan, cp_bloom ? &blooms : nullptr);
-    } else if (config.pipeline_mode == PipelineMode::kOverlap) {
-      run_passes_overlap(ctx);
+      run_passes_compressed(ctx, cplan);
     } else {
-      run_passes_barrier(ctx);
+      run_passes_fixed(ctx);
     }
 
     // ---- MergeCC (§3.6): combine rank-local component arrays. ----
@@ -2443,11 +1781,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     prog.finish();
     prog.set_enabled(false);
   }
-  if (cp_bloom) {
-    blooms.clear();
-    blooms.shrink_to_fit();
-    obs::mem_credit("bloom", bloom_bytes);
-  }
   if (packed_store.is_open() && packed_is_temp) {
     // Drop the in-memory arena before assembling the result so its pages
     // are returned (and the packed mem subsystem credited) inside the run.
@@ -2487,7 +1820,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     result.exchange_bytes += rs.exchange_bytes;
     result.exchange_bytes_raw += rs.exchange_bytes_raw;
     result.superkmer_records += rs.superkmer_records;
-    result.bloom_dropped += rs.bloom_dropped;
   }
   if (result.exchange_bytes_raw > 0) {
     result.superkmer_ratio = static_cast<double>(result.exchange_bytes) /
@@ -2546,7 +1878,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     m.counter("comm.alltoallv_bytes").add(result.exchange_bytes);
     m.counter("comm.alltoallv_bytes_raw").add(result.exchange_bytes_raw);
     m.counter("comm.superkmer_records").add(result.superkmer_records);
-    m.counter("comm.bloom_dropped").add(result.bloom_dropped);
     if (result.exchange_bytes_raw > 0)
       m.gauge("comm.superkmer_ratio").set(result.superkmer_ratio);
   }

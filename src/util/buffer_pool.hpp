@@ -43,7 +43,7 @@ namespace metaprep::util {
 
 class BufferPool {
  public:
-  /// The process-wide pool used by the pipeline's overlap schedule.
+  /// The process-wide pool the pipeline's fixed-tuple pass engine leases from.
   static BufferPool& global();
 
   BufferPool() = default;

@@ -12,7 +12,7 @@ Args::Args(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        named_[arg.substr(2)] = "1";
+        named_.insert_or_assign(arg.substr(2), std::string(1, '1'));
       } else {
         named_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

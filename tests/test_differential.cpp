@@ -384,8 +384,6 @@ std::string compress_tag(CommCompress c) {
   switch (c) {
     case CommCompress::kNone: return "Cnone";
     case CommCompress::kSuperKmer: return "Csuperkmer";
-    case CommCompress::kBloom: return "Cbloom";
-    case CommCompress::kBoth: return "Cboth";
   }
   return "C?";
 }
@@ -400,8 +398,7 @@ std::string compress_case_name(const ::testing::TestParamInfo<CompressCase>& inf
 
 std::vector<CompressCase> compress_grid() {
   std::vector<CompressCase> cases;
-  for (auto compress : {CommCompress::kNone, CommCompress::kSuperKmer, CommCompress::kBloom,
-                        CommCompress::kBoth}) {
+  for (auto compress : {CommCompress::kNone, CommCompress::kSuperKmer}) {
     for (auto mode : {PipelineMode::kBarrier, PipelineMode::kOverlap}) {
       for (auto store : {ReadStore::kText, ReadStore::kPacked}) {
         for (auto parse : {io::ParseMode::kStrict, io::ParseMode::kLenient}) {
@@ -441,20 +438,13 @@ TEST_P(CommCompressGridTest, PartitionMatchesOracle) {
   if (c.compress == CommCompress::kNone) {
     EXPECT_EQ(result.exchange_bytes, result.exchange_bytes_raw);
     EXPECT_EQ(result.superkmer_records, 0u);
-    EXPECT_EQ(result.bloom_dropped, 0u);
   } else {
     EXPECT_GT(result.exchange_bytes_raw, 0u);
     EXPECT_LE(result.exchange_bytes, result.exchange_bytes_raw);
-  }
-  const bool superkmer =
-      c.compress == CommCompress::kSuperKmer || c.compress == CommCompress::kBoth;
-  const bool bloom = c.compress == CommCompress::kBloom || c.compress == CommCompress::kBoth;
-  if (superkmer) {
     EXPECT_GT(result.superkmer_records, 0u);
     // Aggregation must actually shrink the wire volume on this corpus.
     EXPECT_LT(result.exchange_bytes, result.exchange_bytes_raw);
   }
-  if (bloom) { EXPECT_GT(result.bloom_dropped, 0u); }
   if (c.compress == CommCompress::kSuperKmer && !lenient) {
     // Strict super-k-mer-only runs re-expand every k-mer occurrence: the
     // tuple census equals the index's global k-mer histogram exactly.
@@ -468,7 +458,7 @@ INSTANTIATE_TEST_SUITE_P(CompressGrid, CommCompressGridTest,
 TEST(Differential, CompressModesAgreeTupleForTuple) {
   // Beyond partition equality: strict super-k-mer runs must enumerate the
   // *same tuple multiset size* as the uncompressed exchange while shipping
-  // strictly fewer bytes, and `both` must ship no more than `superkmer`.
+  // strictly fewer bytes.
   auto& f = fixture();
   for (int S : {1, 2}) {
     MetaprepConfig cfg;
@@ -480,15 +470,11 @@ TEST(Differential, CompressModesAgreeTupleForTuple) {
     const auto none = run_metaprep(f.index, cfg);
     cfg.comm_compress = CommCompress::kSuperKmer;
     const auto sk = run_metaprep(f.index, cfg);
-    cfg.comm_compress = CommCompress::kBoth;
-    const auto both = run_metaprep(f.index, cfg);
 
     EXPECT_EQ(none.exchange_bytes, none.exchange_bytes_raw) << "S=" << S;
     EXPECT_EQ(sk.total_tuples, none.total_tuples) << "S=" << S;
     EXPECT_LT(sk.exchange_bytes, none.exchange_bytes) << "S=" << S;
-    EXPECT_LE(both.exchange_bytes, sk.exchange_bytes) << "S=" << S;
     EXPECT_EQ(test::normalize_partition(sk.labels), f.oracle) << "S=" << S;
-    EXPECT_EQ(test::normalize_partition(both.labels), f.oracle) << "S=" << S;
   }
 }
 
