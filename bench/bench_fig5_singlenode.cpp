@@ -177,25 +177,28 @@ int main() {
   // achieved alltoallv byte reduction (1 - superkmer/none) in the committed
   // baseline on every run and, with METAPREP_GATE_COMM_BYTES=1, gates it
   // at >= 30%.  Two interleaved samples per mode; the byte counters are
-  // deterministic, only the walls jitter.
+  // deterministic, only the walls jitter.  A last superkmer row at P=1 T=1
+  // S=1 puts every record of the pass into one stream per rank, so a stream
+  // that stops growing geometrically shows up as a wall blow-up there.
   bench::print_title(
-      "Figure 5 (comm axis): exchange compression, XL-mini, P=4 T=2, 2 passes");
+      "Figure 5 (comm axis): exchange compression, XL-mini, P=4 T=2 S=2 (+ P=1 T=1 S=1)");
   util::TablePrinter cc({"Compress", "Wall (ms)", "Shipped (KiB)", "Raw (KiB)",
                          "Ratio", "Records"});
-  for (const char* compress :
-       {"comm_none", "comm_superkmer", "comm_none", "comm_superkmer"}) {
+  auto run_comm = [&](const char* compress, int P, int T, int S) {
     core::MetaprepConfig cfg;
     cfg.k = 27;
-    cfg.num_ranks = 4;
-    cfg.threads_per_rank = 2;
-    cfg.num_passes = 2;
+    cfg.num_ranks = P;
+    cfg.threads_per_rank = T;
+    cfg.num_passes = S;
     cfg.write_output = false;
     cfg.comm_compress = std::string(compress) == "comm_superkmer"
                             ? core::CommCompress::kSuperKmer
                             : core::CommCompress::kNone;
     const auto run = bench::timed_run(xl.index, cfg);
     const auto& r = run.result;
-    cc.add_row({compress, util::TablePrinter::fmt(run.wall_seconds * 1e3, 1),
+    const std::string label = std::string(compress) + " P" + std::to_string(P) + " T" +
+                              std::to_string(T) + " S" + std::to_string(S);
+    cc.add_row({label, util::TablePrinter::fmt(run.wall_seconds * 1e3, 1),
                 util::TablePrinter::fmt(static_cast<double>(r.exchange_bytes) / 1024.0, 1),
                 util::TablePrinter::fmt(
                     static_cast<double>(r.exchange_bytes_raw) / 1024.0, 1),
@@ -203,14 +206,19 @@ int main() {
                 std::to_string(r.superkmer_records)});
     json.add_row()
         .str("mode", compress)
-        .num("passes", 2)
-        .num("threads", 2)
+        .num("passes", S)
+        .num("threads", T)
         .num("wall_s", run.wall_seconds)
         .num("tuples", r.total_tuples)
         .num("alltoallv_bytes", r.exchange_bytes)
         .num("alltoallv_bytes_raw", r.exchange_bytes_raw)
         .num("superkmer_records", r.superkmer_records);
+  };
+  for (const char* compress :
+       {"comm_none", "comm_superkmer", "comm_none", "comm_superkmer"}) {
+    run_comm(compress, 4, 2, 2);
   }
+  run_comm("comm_superkmer", 1, 1, 1);
   cc.print();
 
   // Binned-output axis: the scaled merge/output tail at P=4 with greedy

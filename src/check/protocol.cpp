@@ -156,6 +156,12 @@ void ProtocolChecker::on_barrier_arrive(int rank) {
     }
     std::fill(barrier_join_.begin(), barrier_join_.end(), 0);
     barrier_arrivals_ = 0;
+    // The barrier is complete: every parked rank is released now, not when
+    // its thread next runs.  Left set, a slow waker's stale barrier edge
+    // closes a false cycle with a peer already waiting on its next send.
+    for (Blocked& b : blocked_) {
+      if (b.barrier) b.active = false;
+    }
   }
 }
 

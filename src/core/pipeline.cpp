@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -863,15 +864,6 @@ inline std::uint64_t read_le(const std::byte* p, int nbytes) {
   return v;
 }
 
-/// Reusable per-thread scratch for the super-k-mer emit path: the scanner's
-/// window state plus the record's canonical k-mers indexed by window start
-/// (runs only cover valid windows, so only those slots are read).
-struct SuperKmerScratch {
-  kmer::SuperKmerScanner scanner;
-  std::vector<std::uint64_t> km_lo;
-  std::vector<std::uint64_t> km_hi;
-};
-
 /// 2-bit code of base i of a record.  Only called for positions inside a
 /// valid super-k-mer run, which the scanner guarantees is free of invalid
 /// bases.
@@ -883,33 +875,12 @@ inline std::uint8_t code_at(const io::PackedStore::Record& rec, std::size_t i) {
 }
 
 /// Enumerate a record's super-k-mer runs; fn(start, kmer_count, minimizer).
-/// Fills sc.km_lo/km_hi with the canonical k-mer per window first so the
-/// caller can encode the run's k-mers by position.
 template <typename Rec, typename Fn>
-void for_each_run(SuperKmerScratch& sc, const Rec& rec, int k, int msk, bool wide,
-                  Fn&& fn) {
-  constexpr bool kText = std::is_same_v<Rec, std::string_view>;
-  std::uint32_t len = 0;
-  if constexpr (kText) {
-    len = static_cast<std::uint32_t>(rec.size());
+void for_each_run(kmer::SuperKmerScanner& scanner, const Rec& rec, int k, int msk, Fn&& fn) {
+  if constexpr (std::is_same_v<Rec, std::string_view>) {
+    scanner.scan(rec, k, msk, std::forward<Fn>(fn));
   } else {
-    len = rec.len;
-  }
-  if (len < static_cast<std::uint32_t>(k)) return;
-  const std::uint32_t nwin = len - static_cast<std::uint32_t>(k) + 1;
-  sc.km_lo.resize(nwin);
-  if (wide) sc.km_hi.resize(nwin);
-  for_each_record_kmer(
-      rec, k, wide, [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; },
-      [&](kmer::Kmer128 km, std::size_t pos) {
-        sc.km_lo[pos] = km.lo;
-        sc.km_hi[pos] = km.hi;
-      });
-  if constexpr (kText) {
-    sc.scanner.scan(rec, k, msk, std::forward<Fn>(fn));
-  } else {
-    sc.scanner.scan_packed(rec.words, rec.len, rec.npos, rec.ncount, k, msk,
-                           std::forward<Fn>(fn));
+    scanner.scan_packed(rec.words, rec.len, rec.npos, rec.ncount, k, msk, std::forward<Fn>(fn));
   }
 }
 
@@ -953,6 +924,11 @@ void run_passes_compressed(PassCtx& ctx, const std::vector<CompressPassGeom>& cp
   const std::uint32_t R = ctx.index.total_reads;
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
   const int G = group_size(config);
+  // Stream work counters: copied bytes far above stream bytes is the
+  // signature of a stream that regrows on every append.
+  obs::Counter& m_grow = obs::metrics().counter("comm.stream_grow_events");
+  obs::Counter& m_copied = obs::metrics().counter("comm.stream_copied_bytes");
+  obs::Counter& m_stream = obs::metrics().counter("comm.stream_bytes");
 
   TupleBuffer tuples;
   TupleBuffer scratch;
@@ -983,22 +959,31 @@ void run_passes_compressed(PassCtx& ctx, const std::vector<CompressPassGeom>& cp
     std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
     std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
     std::vector<std::uint64_t> skip_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> raw_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> kmer_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> rec_counts(static_cast<std::size_t>(T), 0);
+    // Per-thread work counts, written back once when the thread's sweep ends.
+    struct GenCounts {
+      std::uint64_t raw_kmers = 0;     ///< k-mers bound for another rank
+      std::uint64_t kmers = 0;
+      std::uint64_t records = 0;
+      std::uint64_t grow_events = 0;   ///< appends that reallocated a stream
+      std::uint64_t copied_bytes = 0;  ///< bytes those reallocations moved
+      std::uint64_t stream_bytes = 0;  ///< final size of this thread's streams
+      std::uint64_t stream_capacity = 0;
+    };
+    std::vector<GenCounts> gen_counts(static_cast<std::size_t>(T));
     progress_phase(ctx, "KmerGen");
     team.run([&](int t) {
       obs::TraceSession::set_thread_identity(p, t);
       const std::size_t ut = static_cast<std::size_t>(t);
+      GenCounts c;
       // pass-in-group of a routing bin, or -1 when outside the group.
       auto group_pass_of = [&](std::uint32_t bin) -> int {
         if (bin >= g0lo && bin < g0hi) return 0;
         if (npasses > 1 && bin >= g1lo && bin < g1hi) return 1;
         return -1;
       };
-      SuperKmerScratch sc;
+      kmer::SuperKmerScanner scanner;
       auto handle_record = [&](std::uint32_t value, const auto& rec) {
-        for_each_run(sc, rec, k, msk, wide,
+        for_each_run(scanner, rec, k, msk,
                      [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
           const std::uint32_t bin = kmer::minimizer_bin(mz);
           const int i = group_pass_of(bin);
@@ -1007,35 +992,56 @@ void run_passes_compressed(PassCtx& ctx, const std::vector<CompressPassGeom>& cp
           const std::uint16_t slot = pg.slot_of_bin[bin - pg.lo];
           const int d = slot / T;
           std::vector<std::byte>& stream = streams[static_cast<std::size_t>(i)][ut][slot];
-          if (d != p) raw_counts[ut] += count;
-          kmer_counts[ut] += count;
+          if (d != p) c.raw_kmers += count;
+          c.kmers += count;
           for (std::uint32_t a = 0; a < count;) {
             const std::uint32_t take = std::min(count - a, kmer::kMaxSuperKmerRun);
+            const std::size_t cap0 = stream.capacity();
+            const std::size_t size0 = stream.size();
             kmer::append_superkmer_record(
                 stream, value, take, k,
                 [&](std::size_t j) { return code_at(rec, start + a + j); });
-            ++rec_counts[ut];
+            if (stream.capacity() != cap0) {
+              ++c.grow_events;
+              c.copied_bytes += size0;
+            }
+            ++c.records;
             a += take;
           }
         });
       };
-      for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-        skip_counts[ut] += scan_chunk_records(ctx, c, substitute_components, io_seconds[ut],
+      for (std::uint32_t ch = ca.thread_begin(p, t); ch < ca.thread_end(p, t); ++ch) {
+        skip_counts[ut] += scan_chunk_records(ctx, ch, substitute_components, io_seconds[ut],
                                               gen_seconds[ut], handle_record);
       }
+      for (int i = 0; i < npasses; ++i) {
+        for (const std::vector<std::byte>& st : streams[static_cast<std::size_t>(i)][ut]) {
+          c.stream_bytes += st.size();
+          c.stream_capacity += st.capacity();
+        }
+      }
+      gen_counts[ut] = c;
     });
     my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
     my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
     if (s0 == 0) {
       for (std::uint64_t sk : skip_counts) my.records_skipped += sk;
     }
-    for (int t = 0; t < T; ++t) {
-      const std::size_t ut = static_cast<std::size_t>(t);
-      my.exchange_bytes_raw += raw_counts[ut] * tuple_bytes;
-      my.tuples += kmer_counts[ut];
-      my.superkmer_records += rec_counts[ut];
-      ctx.m_tuples.add(kmer_counts[ut]);
+    std::uint64_t stream_capacity = 0;
+    for (const GenCounts& c : gen_counts) {
+      my.exchange_bytes_raw += c.raw_kmers * tuple_bytes;
+      my.tuples += c.kmers;
+      my.superkmer_records += c.records;
+      ctx.m_tuples.add(c.kmers);
+      m_grow.add(c.grow_events);
+      m_copied.add(c.copied_bytes);
+      m_stream.add(c.stream_bytes);
+      stream_capacity += c.stream_capacity;
     }
+    // The streams peak here and coexist with the previous pass's sort
+    // buffers; they stay charged to "comm" until the messages are built.
+    my.max_buffer_bytes =
+        std::max(my.max_buffer_bytes, tuples.bytes() + scratch.bytes() + stream_capacity);
     phase_boundary(ctx, "KmerGen");
 
     // ---- KmerGen-Comm: one message per (dest, pass), always sent (the
@@ -1043,6 +1049,8 @@ void run_passes_compressed(PassCtx& ctx, const std::vector<CompressPassGeom>& cp
     // the receive count deterministic). ----
     progress_phase(ctx, "KmerGen-Comm");
     std::array<std::vector<std::byte>, 2> self_msg;
+    // Charged until every stream has been copied into its message and freed.
+    std::optional<obs::MemCharge> streams_mem(std::in_place, "comm", stream_capacity);
     for (int i = 0; i < npasses; ++i) {
       obs::TraceSpan comm_span("KmerGen-Comm");
       WallTimer comm_timer;
@@ -1083,6 +1091,7 @@ void run_passes_compressed(PassCtx& ctx, const std::vector<CompressPassGeom>& cp
       }
       my.times.add("KmerGen-Comm", comm_timer.seconds());
     }
+    streams_mem.reset();
     phase_boundary(ctx, "KmerGen-Comm");
 
     // ---- Drain the group pass by pass: receive, expand, sort, union. ----

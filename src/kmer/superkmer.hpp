@@ -178,12 +178,13 @@ constexpr std::size_t superkmer_record_bytes(int k, std::uint32_t n_kmers) noexc
 
 /// Append one record.  @p code_at(j) must return the 2-bit code (0..3) of the
 /// j-th base of the run, j in [0, n_kmers + k - 1); the caller guarantees the
-/// run is free of invalid bases (the scanner only emits such runs).
+/// run is free of invalid bases (the scanner only emits such runs).  @p out
+/// grows geometrically: an exact-size reserve per record would reallocate
+/// and copy the whole stream on every append.
 template <typename CodeAt>
 void append_superkmer_record(std::vector<std::byte>& out, std::uint32_t value,
                              std::uint32_t n_kmers, int k, CodeAt&& code_at) {
   const std::uint32_t nbases = n_kmers + static_cast<std::uint32_t>(k) - 1;
-  out.reserve(out.size() + superkmer_record_bytes(k, n_kmers));
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::byte>((value >> (8 * i)) & 0xFF));
   for (int i = 0; i < 2; ++i) out.push_back(static_cast<std::byte>((n_kmers >> (8 * i)) & 0xFF));
   const std::size_t base = out.size();

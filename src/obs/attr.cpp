@@ -7,6 +7,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace metaprep::obs {
 
@@ -32,6 +33,26 @@ struct Segment {
   int prev = -1;         // global index of the predecessor segment
   bool prev_flow = false;  // predecessor reached through a message edge
 };
+
+/// Total length covered by a set of [start, end) intervals; sorts them.
+double union_length_us(std::vector<std::pair<double, double>>& intervals) {
+  std::sort(intervals.begin(), intervals.end());
+  double total = 0.0;
+  double lo = 0.0, hi = 0.0;
+  bool open = false;
+  for (const auto& [a, b] : intervals) {
+    if (open && a <= hi) {
+      hi = std::max(hi, b);
+      continue;
+    }
+    if (open) total += hi - lo;
+    lo = a;
+    hi = b;
+    open = true;
+  }
+  if (open) total += hi - lo;
+  return total;
+}
 
 struct Track {
   int pid = 0;
@@ -219,25 +240,37 @@ AttrReport PhaseAccountant::analyze(const std::vector<TraceEvent>& events,
     }
   }
 
-  // ---- Phase self-time aggregation + imbalance (Fig. 8 statistic). ----
+  // ---- Phase aggregation + imbalance (Fig. 8 statistic): per rank, the
+  // union of its threads' segment intervals (the phase wall) and their sum
+  // (thread-seconds). ----
   {
-    std::map<std::string, std::map<int, double>> phase_rank;
+    struct RankPhase {
+      double thread_us = 0.0;
+      std::vector<std::pair<double, double>> intervals;
+    };
+    std::map<std::string, std::map<int, RankPhase>> phase_rank;
     for (const Segment& s : segs) {
-      phase_rank[s.span->name][tracks[static_cast<std::size_t>(s.track)].pid] +=
-          (s.end - s.start) / 1e6;
+      RankPhase& rp =
+          phase_rank[s.span->name][tracks[static_cast<std::size_t>(s.track)].pid];
+      rp.thread_us += s.end - s.start;
+      rp.intervals.emplace_back(s.start, s.end);
     }
     for (auto& [name, ranks] : phase_rank) {
       PhaseStat ps;
       ps.name = name;
-      std::vector<double> vals;
-      for (auto& [rank, sec] : ranks) {
-        ps.rank_self_s[rank] = sec;
-        ps.self_s += sec;
-        vals.push_back(sec);
+      std::vector<double> walls;
+      double wall_sum = 0.0;
+      for (auto& [rank, rp] : ranks) {
+        const double wall = union_length_us(rp.intervals) / 1e6;
+        ps.rank_wall_s[rank] = wall;
+        ps.self_s += rp.thread_us / 1e6;
+        ps.max_rank_thread_s = std::max(ps.max_rank_thread_s, rp.thread_us / 1e6);
+        wall_sum += wall;
+        walls.push_back(wall);
       }
-      ps.max_rank_s = vals.empty() ? 0.0 : *std::max_element(vals.begin(), vals.end());
-      ps.mean_rank_s = vals.empty() ? 0.0 : ps.self_s / static_cast<double>(vals.size());
-      ps.imbalance = imbalance_factor(vals);
+      ps.max_rank_s = walls.empty() ? 0.0 : *std::max_element(walls.begin(), walls.end());
+      ps.mean_rank_s = walls.empty() ? 0.0 : wall_sum / static_cast<double>(walls.size());
+      ps.imbalance = imbalance_factor(walls);
       ps.wall_frac = report.wall_s > 0.0 ? ps.max_rank_s / report.wall_s : 0.0;
       report.phases.push_back(std::move(ps));
     }
@@ -386,10 +419,11 @@ std::string AttrReport::to_json() const {
     out << "\",\"self_s\":" << json_num(p.self_s)
         << ",\"max_rank_s\":" << json_num(p.max_rank_s)
         << ",\"mean_rank_s\":" << json_num(p.mean_rank_s)
+        << ",\"max_rank_thread_s\":" << json_num(p.max_rank_thread_s)
         << ",\"imbalance\":" << json_num(p.imbalance)
         << ",\"wall_frac\":" << json_num(p.wall_frac) << ",\"per_rank\":{";
     bool first = true;
-    for (const auto& [rank, sec] : p.rank_self_s) {
+    for (const auto& [rank, sec] : p.rank_wall_s) {
       if (!first) out << ',';
       first = false;
       out << '"' << rank << "\":" << json_num(sec);
@@ -479,14 +513,15 @@ std::string format_report(const AttrReport& r) {
                 r.wall_s, r.trace_span_s, r.ranks, r.threads, r.passes);
   out << buf;
 
-  out << "\n  phase walls (self-time; imbalance = max/mean over ranks, Fig. 8)\n";
-  std::snprintf(buf, sizeof(buf), "  %-16s %12s %12s %10s %7s\n", "phase",
-                "max-rank (s)", "mean-rank(s)", "imbalance", "wall%");
+  out << "\n  phase walls (per rank: union of its threads' self-time; thread-s = most\n"
+         "  thread-seconds on one rank; imbalance = max/mean over ranks, Fig. 8)\n";
+  std::snprintf(buf, sizeof(buf), "  %-16s %12s %12s %12s %10s %7s\n", "phase",
+                "max-rank (s)", "mean-rank(s)", "thread-s (s)", "imbalance", "wall%");
   out << buf;
   for (const PhaseStat& p : r.phases) {
-    std::snprintf(buf, sizeof(buf), "  %-16s %12.4f %12.4f %10.3f %6.1f%%\n",
-                  p.name.c_str(), p.max_rank_s, p.mean_rank_s, p.imbalance,
-                  100.0 * p.wall_frac);
+    std::snprintf(buf, sizeof(buf), "  %-16s %12.4f %12.4f %12.4f %10.3f %6.1f%%\n",
+                  p.name.c_str(), p.max_rank_s, p.mean_rank_s, p.max_rank_thread_s,
+                  p.imbalance, 100.0 * p.wall_frac);
     out << buf;
   }
 

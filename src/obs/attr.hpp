@@ -34,15 +34,18 @@
 
 namespace metaprep::obs {
 
-/// Per-phase self-time aggregate across ranks and threads.
+/// Per-phase self-time aggregate across ranks and threads.  A rank's phase
+/// wall is the union of its threads' self-time intervals, so T threads busy
+/// at once count once; thread-seconds (their sum) are kept beside it.
 struct PhaseStat {
   std::string name;
-  double self_s = 0.0;       // total self-time summed over every (rank, thread)
-  double max_rank_s = 0.0;   // slowest rank's self-time (its threads summed)
-  double mean_rank_s = 0.0;  // mean over ranks that appear in the trace
-  double imbalance = 0.0;    // max/mean over ranks (Fig. 8); 1.0 single rank, 0 empty
+  double self_s = 0.0;       // thread-seconds summed over every (rank, thread)
+  double max_rank_s = 0.0;   // slowest rank's phase wall
+  double mean_rank_s = 0.0;  // mean phase wall over ranks that appear in the trace
+  double max_rank_thread_s = 0.0;  // most thread-seconds any one rank spent
+  double imbalance = 0.0;    // max/mean wall over ranks (Fig. 8); 1.0 single rank, 0 empty
   double wall_frac = 0.0;    // max_rank_s / wall_s
-  std::map<int, double> rank_self_s;  // rank -> self seconds
+  std::map<int, double> rank_wall_s;  // rank -> phase wall seconds
 };
 
 /// One hop of the critical path (a maximal same-phase run of segments).

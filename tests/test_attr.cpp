@@ -95,6 +95,29 @@ TEST(PhaseAccountant, CannedTracePhasesAndCriticalPath) {
   EXPECT_TRUE(cp.steps[2].via_flow);  // entered through the message edge
 }
 
+TEST(PhaseAccountant, RankWallIsUnionOfOverlappingThreads) {
+  // Rank 0 runs KmerGen on three threads: t0 [0, 1000us], t1 [500, 1500us]
+  // and t2 [200, 400us] inside t0.  Its phase wall is the union, 1500us,
+  // not the 2200us of thread-seconds; rank 1 runs one thread [0, 800us].
+  std::vector<TraceEvent> ev;
+  ev.push_back({"KmerGen", 0.0, 1000.0, 0, 0, 0, 0});
+  ev.push_back({"KmerGen", 500.0, 1000.0, 0, 1, 0, 0});
+  ev.push_back({"KmerGen", 200.0, 200.0, 0, 2, 0, 0});
+  ev.push_back({"KmerGen", 0.0, 800.0, 1, 0, 0, 0});
+  const AttrReport r = PhaseAccountant::analyze(ev, /*wall_us=*/2000.0);
+
+  ASSERT_EQ(r.phases.size(), 1u);
+  const PhaseStat& p = r.phases[0];
+  EXPECT_DOUBLE_EQ(p.rank_wall_s.at(0), 0.0015);
+  EXPECT_DOUBLE_EQ(p.rank_wall_s.at(1), 0.0008);
+  EXPECT_DOUBLE_EQ(p.max_rank_s, 0.0015);
+  EXPECT_DOUBLE_EQ(p.mean_rank_s, 0.00115);
+  EXPECT_DOUBLE_EQ(p.max_rank_thread_s, 0.0022);
+  EXPECT_DOUBLE_EQ(p.self_s, 0.003);
+  EXPECT_NEAR(p.imbalance, 0.0015 / 0.00115, 1e-12);
+  EXPECT_DOUBLE_EQ(p.wall_frac, 0.75);  // thread-seconds would claim 110%
+}
+
 /// The canned report used by the golden-rendering and round-trip tests:
 /// analysis of canned_trace() plus the comm/memory sections the pipeline
 /// would fill.
@@ -121,11 +144,12 @@ TEST(FormatReport, GoldenCannedReport) {
       "METAPREP performance attribution\n"
       "  wall 0.004 s (trace span 0.003 s, ranks=2 threads=1 passes=1)\n"
       "\n"
-      "  phase walls (self-time; imbalance = max/mean over ranks, Fig. 8)\n"
-      "  phase            max-rank (s) mean-rank(s)  imbalance   wall%\n"
-      "  KmerGen                0.0020       0.0018      1.111   50.0%\n"
-      "  LocalSort              0.0010       0.0010      1.000   25.0%\n"
-      "  KmerGen-Comm           0.0004       0.0004      1.000   10.0%\n"
+      "  phase walls (per rank: union of its threads' self-time; thread-s = most\n"
+      "  thread-seconds on one rank; imbalance = max/mean over ranks, Fig. 8)\n"
+      "  phase            max-rank (s) mean-rank(s) thread-s (s)  imbalance   wall%\n"
+      "  KmerGen                0.0020       0.0018       0.0020      1.111   50.0%\n"
+      "  LocalSort              0.0010       0.0010       0.0010      1.000   25.0%\n"
+      "  KmerGen-Comm           0.0004       0.0004       0.0004      1.000   10.0%\n"
       "\n"
       "  critical path: 0.003 s (85.0% of wall; wait 0.000 s, compute 0.003 s)\n"
       "    [r0/t0]       KmerGen              0.0020 s\n"
@@ -162,7 +186,8 @@ TEST(AttrJson, RoundTripsThroughOfflineLoader) {
     EXPECT_EQ(back.phases[i].name, orig.phases[i].name);
     EXPECT_DOUBLE_EQ(back.phases[i].self_s, orig.phases[i].self_s);
     EXPECT_DOUBLE_EQ(back.phases[i].imbalance, orig.phases[i].imbalance);
-    EXPECT_EQ(back.phases[i].rank_self_s, orig.phases[i].rank_self_s);
+    EXPECT_DOUBLE_EQ(back.phases[i].max_rank_thread_s, orig.phases[i].max_rank_thread_s);
+    EXPECT_EQ(back.phases[i].rank_wall_s, orig.phases[i].rank_wall_s);
   }
   ASSERT_EQ(back.critical_path.steps.size(), orig.critical_path.steps.size());
   EXPECT_DOUBLE_EQ(back.critical_path.length_s, orig.critical_path.length_s);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "check/invariants.hpp"
+#include "check/protocol.hpp"
 #include "dsu/dsu.hpp"
 #include "mpsim/comm.hpp"
 #include "util/buffer_pool.hpp"
@@ -355,6 +356,18 @@ TEST(Check, CleanMessagingRunRaisesNothing) {
     const std::uint64_t total = comm.allreduce_sum(1);
     EXPECT_EQ(total, static_cast<std::uint64_t>(P));
   });
+}
+
+TEST(Check, CompletedBarrierLeavesNoStaleWaitEdge) {
+  // Rank 0 parks in a barrier; rank 1's arrival completes it.  Before rank
+  // 0's thread wakes, rank 1 blocks on a receive from rank 0.  Rank 0 is
+  // released, so the wait-for graph must hold no cycle.
+  check::ProtocolChecker checker(2);
+  checker.on_barrier_arrive(0);
+  checker.block_barrier(0);
+  checker.on_barrier_arrive(1);
+  checker.block_recv(1, 0, 7, "recv");
+  EXPECT_NO_THROW(checker.detect_deadlock([](int, int, int) { return false; }));
 }
 
 TEST(Check, ReportToStringNamesKindsAndRanks) {

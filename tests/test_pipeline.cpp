@@ -19,6 +19,7 @@
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace metaprep::core {
 namespace {
@@ -702,6 +703,40 @@ TEST(Pipeline, SimulatedCommTimeOnlyForMultiRank) {
   cfg.num_ranks = 4;
   const auto multi = run_metaprep(fixture.index, cfg);
   EXPECT_GT(multi.sim_comm_seconds, 0.0);
+}
+
+TEST(Pipeline, SuperKmerStreamCountersShowAmortizedGrowth) {
+  // The compressed exchange publishes its stream work to the run's metrics
+  // JSONL.  Streams that grow geometrically move at most about their own
+  // size when they regrow; one regrowth per record would move
+  // O(records^2) bytes.
+  Fixture fixture(15, 150);
+  auto cfg = base_config(15, fixture.dir.str());
+  cfg.num_ranks = 2;
+  cfg.threads_per_rank = 2;
+  cfg.num_passes = 2;
+  cfg.comm_compress = CommCompress::kSuperKmer;
+  cfg.metrics_out = fixture.dir.file("metrics.jsonl");
+  const auto result = run_metaprep(fixture.index, cfg);
+  EXPECT_EQ(test::normalize_partition(result.labels),
+            test::normalize_partition(reference_components(fixture.index, cfg.filter)));
+
+  std::map<std::string, double> counters;
+  for (const util::JsonValue& line : util::parse_jsonl_file(cfg.metrics_out)) {
+    if (line.string_or("type", "") == "counter")
+      counters[line.at("name").as_string()] = line.at("value").as_number();
+  }
+  ASSERT_TRUE(counters.contains("comm.stream_grow_events"));
+  ASSERT_TRUE(counters.contains("comm.stream_copied_bytes"));
+  ASSERT_TRUE(counters.contains("comm.stream_bytes"));
+  const double stream_bytes = counters["comm.stream_bytes"];
+  EXPECT_GT(counters["comm.stream_grow_events"], 0.0);
+  EXPECT_GT(stream_bytes, 0.0);
+  EXPECT_LE(counters["comm.stream_copied_bytes"], 2.0 * stream_bytes);
+  // Every shipped message is its streams plus a u64 length per dest thread.
+  const double headers = 8.0 * cfg.threads_per_rank * cfg.num_ranks * cfg.num_ranks *
+                         cfg.num_passes;
+  EXPECT_LE(static_cast<double>(result.exchange_bytes), stream_bytes + headers);
 }
 
 }  // namespace

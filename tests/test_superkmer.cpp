@@ -359,6 +359,37 @@ TEST(SuperKmerWire, TruncatedStreamThrows) {
   }
 }
 
+TEST(SuperKmerWire, StreamGrowthIsAmortized) {
+  // A stream built one record at a time must regrow O(log n) times and move
+  // at most ~its own size in total, counted from outside through capacity()
+  // exactly as the exchange's stream counters do.  A per-record exact-size
+  // reserve regrows on every append and copies the whole stream each time.
+  constexpr int k = 31;
+  constexpr std::uint32_t kRecords = 100'000;
+  constexpr std::uint64_t kMaxGrowEvents = 64;
+  util::Xoshiro256 rng(0x5EED);
+  std::vector<std::byte> stream;
+  std::uint64_t grow_events = 0;
+  std::uint64_t copied_bytes = 0;
+  std::uint64_t kmers = 0;
+  for (std::uint32_t r = 0; r < kRecords && grow_events <= kMaxGrowEvents; ++r) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.next_below(40));
+    const std::size_t cap0 = stream.capacity();
+    const std::size_t size0 = stream.size();
+    append_superkmer_record(stream, r, n, k, [&](std::size_t j) { return (j + r) & 3u; });
+    if (stream.capacity() != cap0) {
+      ++grow_events;
+      copied_bytes += size0;
+    }
+    kmers += n;
+  }
+  ASSERT_LE(grow_events, kMaxGrowEvents);
+  EXPECT_LE(copied_bytes, 2 * stream.size());
+  const SuperKmerStreamStats stats = count_superkmer_stream(stream.data(), stream.size(), k);
+  EXPECT_EQ(stats.records, kRecords);
+  EXPECT_EQ(stats.kmers, kmers);
+}
+
 TEST(SuperKmerRouting, MinimizerIsStrandSymmetricSoRoutingIsToo) {
   // A canonical k-mer's minimizer must not depend on which strand the read
   // presented: minimizer routing relies on all occurrences of a k-mer

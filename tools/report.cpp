@@ -44,11 +44,12 @@ obs::AttrReport attr_from_json(const JsonValue& doc) {
       ps.self_s = pv.number_or("self_s", 0.0);
       ps.max_rank_s = pv.number_or("max_rank_s", 0.0);
       ps.mean_rank_s = pv.number_or("mean_rank_s", 0.0);
+      ps.max_rank_thread_s = pv.number_or("max_rank_thread_s", 0.0);
       ps.imbalance = pv.number_or("imbalance", 0.0);
       ps.wall_frac = pv.number_or("wall_frac", 0.0);
       if (const JsonValue* per_rank = pv.find("per_rank")) {
         for (const auto& [rank_str, sec] : per_rank->as_object())
-          ps.rank_self_s[std::atoi(rank_str.c_str())] = sec.as_number();
+          ps.rank_wall_s[std::atoi(rank_str.c_str())] = sec.as_number();
       }
       r.phases.push_back(std::move(ps));
     }
