@@ -6,17 +6,19 @@
 #   2. ThreadSanitizer build of the concurrency-heavy binaries, running the
 #      observability (test_obs), simulated-MPI (test_mpsim), union-find
 #      (test_dsu), and service-layer (test_serve: concurrent sessions,
-#      cancellation, job queue) suites plus the binned-output and
-#      packed-read-store differential legs — the paths that stress
-#      cross-thread event buffers, mailboxes, the parallel MergeCC flatten
-#      (atomic_ref size counting), and the threads-over-mmap packed KmerGen
-#      scan.
+#      cancellation, job queue) and pass-engine (test_pass_engine) suites
+#      plus the binned-output, packed-read-store and comm-compress
+#      differential legs — the paths that stress cross-thread event
+#      buffers, mailboxes, the parallel MergeCC flatten (atomic_ref size
+#      counting), the threads-over-mmap packed KmerGen scan, and pooled
+#      tuple leases under both exchange codecs.
 #   3. Address+UBSanitizer build running the fault-injection (test_faults),
-#      FASTQ parsing (test_fastq), packed-arena (test_packed_store), and
+#      FASTQ parsing (test_fastq), packed-arena (test_packed_store),
 #      exchange-compression (test_superkmer, the comm-compress differential
-#      grid) suites — the paths that do raw buffer arithmetic and
-#      deliberately corrupt / truncate input, including the super-k-mer
-#      wire decode.  A Release (-O3) build of every target follows, so the
+#      grid), pass-engine and service-layer suites — the paths that do raw
+#      buffer arithmetic and deliberately corrupt / truncate input,
+#      including the super-k-mer wire decode, and cancelled runs that must
+#      return every lease.  A Release (-O3) build of every target follows, so the
 #      optimizer's extra diagnostics are held to the default -Werror too.
 #   4. metaprepd daemon smoke: start the job-queue daemon on an AF_UNIX
 #      socket, submit a job via `metaprep_cli daemon`, poll it to
@@ -162,9 +164,10 @@ if [ -e "${DSOCK}" ]; then
 fi
 echo "daemon smoke: OK (submit/status/fetch/cancel/shutdown, no leaks)"
 
-echo "=== tier 1: ThreadSanitizer build (test_obs + test_mpsim + test_dsu + test_differential + test_serve) ==="
+echo "=== tier 1: ThreadSanitizer build (test_obs + test_mpsim + test_dsu + test_differential + test_serve + test_pass_engine) ==="
 cmake --preset tsan
-cmake --build --preset tsan "${JOBS}" --target test_obs test_mpsim test_dsu test_differential test_serve
+cmake --build --preset tsan "${JOBS}" --target test_obs test_mpsim test_dsu test_differential \
+  test_serve test_pass_engine
 
 echo "=== tier 1: TSan test_obs ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_obs
@@ -180,11 +183,15 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='Grid/*T2*Packed*'
 echo "=== tier 1: TSan service layer (concurrent sessions + cancel + job queue) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
+echo "=== tier 1: TSan pass engine (both codecs, pooled leases) + comm-compress grid ==="
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_pass_engine
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
+  --gtest_filter='CompressGrid/*'
 
-echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + compress legs) ==="
+echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + compress legs + pass engine) ==="
 cmake --preset asan
 cmake --build --preset asan "${JOBS}" --target test_faults test_fastq test_packed_store \
-  test_superkmer test_differential
+  test_superkmer test_differential test_pass_engine test_serve
 
 echo "=== tier 1: ASan test_faults ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
@@ -196,6 +203,9 @@ echo "=== tier 1: ASan exchange-compression (super-k-mer wire encode/decode) ===
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_superkmer
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
   --gtest_filter='CompressGrid/*'
+echo "=== tier 1: ASan pass engine (both codecs, pooled leases) + service layer (cancelled runs) ==="
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_pass_engine
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_serve
 
 echo "=== tier 1: Release build (-O3, every target incl. tests and tools, default -Werror) ==="
 cmake --preset release

@@ -199,9 +199,9 @@ struct MetaprepConfig {
   obs::MetricsRegistry* metrics_registry = nullptr;
   obs::MemRegistry* mem_registry = nullptr;
 
-  /// Buffer pool the fixed-tuple pass engine leases from.  Null = the process
-  /// pool.  The daemon passes one shared pool so jobs recycle each other's
-  /// tuple buffers.
+  /// Buffer pool the pass engine leases its tuple arrays from, under either
+  /// exchange codec.  Null = the process pool.  The daemon passes one shared
+  /// pool so jobs recycle each other's tuple buffers.
   util::BufferPool* buffer_pool = nullptr;
 
   /// Cooperative cancel flag, polled at pass/chunk boundaries.  Null = not

@@ -35,6 +35,7 @@
 #include "util/buffer_pool.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/memusage.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/session.hpp"
@@ -49,38 +50,61 @@ using util::ThreadTeam;
 using util::WallTimer;
 
 /// Tuple buffers in SoA layout.  keys_hi is used only for k > 32 ("wide"):
-/// the 12-byte tuple becomes the paper's 20-byte tuple (§4.4).
+/// the 12-byte tuple becomes the paper's 20-byte tuple (§4.4).  `leased`
+/// marks arrays that are out on lease from the run's BufferPool.
 struct TupleBuffer {
   std::vector<std::uint64_t> keys;
   std::vector<std::uint64_t> keys_hi;
   std::vector<std::uint32_t> vals;
-  bool wide = false;
+  bool leased = false;
 
-  void resize(std::size_t n) {
-    keys.resize(n);
-    vals.resize(n);
-    if (wide) keys_hi.resize(n);
-  }
   [[nodiscard]] std::size_t size() const noexcept { return keys.size(); }
-  [[nodiscard]] std::uint64_t bytes() const noexcept {
-    return keys.size() * (wide ? 20 : 12);
+};
+
+/// The tuple arrays one rank leases from its BufferPool, under either
+/// exchange codec.  Leases are tagged "tuples" for memory attribution; the
+/// peak of the live leased bytes, plus whatever a codec holds beside them,
+/// is the rank's max_buffer_bytes.
+class TupleLeases {
+ public:
+  TupleLeases(util::BufferPool& pool, bool wide, std::uint64_t& peak)
+      : pool_(pool), wide_(wide), peak_(peak) {}
+
+  TupleBuffer acquire(std::size_t n) {
+    const obs::MemScope tuples_scope("tuples");  // tags the pool leases below
+    TupleBuffer b;
+    b.leased = true;
+    b.keys = pool_.acquire_u64(n);
+    if (wide_) b.keys_hi = pool_.acquire_u64(n);
+    b.vals = pool_.acquire_u32(n);
+    live_ += bytes_of(n);
+    note_peak(0);
+    return b;
   }
 
-  /// Memory attribution (src/obs/mem): reconcile the "tuples" subsystem with
-  /// this buffer's current capacity.  Called after resizes in the super-k-mer
-  /// engine; the fixed-tuple engine leases from BufferPool, whose charges are
-  /// tagged via MemScope instead, so it never calls this.
-  std::uint64_t mem_charged = 0;
-  void mem_account() {
-    const std::uint64_t now =
-        keys.capacity() * 8 + keys_hi.capacity() * 8 + vals.capacity() * 4;
-    if (now >= mem_charged) {
-      obs::mem_charge("tuples", now - mem_charged);
-    } else {
-      obs::mem_credit("tuples", mem_charged - now);
-    }
-    mem_charged = now;
+  /// Return @p b's arrays to the pool; @p b is left empty and unleased.
+  void release(TupleBuffer& b) {
+    const obs::MemScope tuples_scope("tuples");
+    live_ -= bytes_of(b.size());
+    pool_.release(std::move(b.keys));
+    // keys_hi is only leased for wide keys; releasing the empty vector would
+    // (correctly) trip the pool's double-release check.
+    if (wide_) pool_.release(std::move(b.keys_hi));
+    pool_.release(std::move(b.vals));
+    b = TupleBuffer{};
   }
+
+  /// Raise the peak to the live leases plus @p beside bytes held next to
+  /// them (super-k-mer streams or messages).
+  void note_peak(std::uint64_t beside) { peak_ = std::max(peak_, live_ + beside); }
+
+ private:
+  [[nodiscard]] std::uint64_t bytes_of(std::size_t n) const { return n * (wide_ ? 20ull : 12ull); }
+
+  util::BufferPool& pool_;
+  const bool wide_;
+  std::uint64_t& peak_;
+  std::uint64_t live_ = 0;
 };
 
 /// counts[i] += sum of row[b] for b in [bounds[i], bounds[i+1]), computed in
@@ -94,30 +118,6 @@ void accumulate_bounded_counts(const std::uint32_t* row,
     counts[i] += acc;
   }
 }
-
-/// Minimal scope guard for lease cleanup on exception unwind (a cancel or a
-/// typed Error mid-pass must return every BufferPool lease).  The callback
-/// must not throw during unwind, so failures inside it are swallowed.
-template <typename F>
-class ScopeExit {
- public:
-  explicit ScopeExit(F f) : f_(std::move(f)) {}
-  ScopeExit(const ScopeExit&) = delete;
-  ScopeExit& operator=(const ScopeExit&) = delete;
-  ~ScopeExit() {
-    if (!armed_) return;
-    try {
-      f_();
-    } catch (...) {
-      // Unwind path: the original exception matters more.
-    }
-  }
-  void dismiss() noexcept { armed_ = false; }
-
- private:
-  F f_;
-  bool armed_ = true;
-};
 
 /// Lookup table bin -> part index for a boundary vector covering
 /// [bounds.front(), bounds.back()).
@@ -157,8 +157,7 @@ struct RankShared {
   std::uint64_t superkmer_records = 0;   ///< wire records this rank emitted
 };
 
-/// Everything a per-rank pass engine needs, bundled so the fixed-tuple and
-/// super-k-mer engines share the chunk scan and LocalSort/LocalCC.
+/// Everything a rank's pass engine and its exchange codec need.
 struct PassCtx {
   const DatasetIndex& index;
   const MetaprepConfig& config;
@@ -210,44 +209,54 @@ inline void progress_phase(const PassCtx& ctx, const char* phase) {
   if (ctx.p == 0) obs::Progress::global().phase(phase);
 }
 
-/// fn64(km, pos) (k <= 32) or fn128(km, pos) (k > 32) for every canonical
-/// k-mer of one record: a text sequence, or a packed-store record.
-template <typename Fn64, typename Fn128>
-void for_each_record_kmer(std::string_view seq, int k, bool wide, Fn64&& fn64,
-                          Fn128&& fn128) {
+/// fn(km, pos) for every canonical k-mer of one record (a text sequence, or
+/// a packed-store record); km is a std::uint64_t for k <= 32 and a
+/// kmer::Kmer128 above.
+template <typename Fn>
+void for_each_record_kmer(std::string_view seq, int k, bool wide, Fn&& fn) {
   if (!wide) {
-    kmer::for_each_canonical_kmer64(seq, k, fn64);
+    kmer::for_each_canonical_kmer64(seq, k, fn);
   } else {
-    kmer::for_each_canonical_kmer128(seq, k, fn128);
+    kmer::for_each_canonical_kmer128(seq, k, fn);
   }
 }
-template <typename Fn64, typename Fn128>
-void for_each_record_kmer(const io::PackedStore::Record& rec, int k, bool wide, Fn64&& fn64,
-                          Fn128&& fn128) {
+template <typename Fn>
+void for_each_record_kmer(const io::PackedStore::Record& rec, int k, bool wide, Fn&& fn) {
   if (!wide) {
-    kmer::for_each_canonical_kmer64_packed(rec.words, rec.len, rec.npos, rec.ncount, k, fn64);
+    kmer::for_each_canonical_kmer64_packed(rec.words, rec.len, rec.npos, rec.ncount, k, fn);
   } else {
-    kmer::for_each_canonical_kmer128_packed(rec.words, rec.len, rec.npos, rec.ncount, k,
-                                            fn128);
+    kmer::for_each_canonical_kmer128_packed(rec.words, rec.len, rec.npos, rec.ncount, k, fn);
   }
 }
 
-/// One chunk's record stream for KmerGen, shared by both pass engines.  Text
+/// Store the tuple (km, value) at slot @p at of @p b.
+inline void put_tuple(TupleBuffer& b, std::uint64_t at, std::uint64_t km, std::uint32_t value) {
+  b.keys[at] = km;
+  b.vals[at] = value;
+}
+inline void put_tuple(TupleBuffer& b, std::uint64_t at, kmer::Kmer128 km, std::uint32_t value) {
+  b.keys[at] = km.lo;
+  b.keys_hi[at] = km.hi;
+  b.vals[at] = value;
+}
+
+/// One chunk's record stream for the pass engine's KmerGen.  Text
 /// mode reads the chunk's byte range and parses it; packed mode walks the
 /// arena's record range for the chunk — same records, same order, same read
 /// IDs, so the emitted stream is bit-identical.  Per record: value =
 /// find(read_id) under the §3.5.1 substitution, then rec_fn(value, seq) with
 /// the text sequence or rec_fn(value, rec) with the packed record.
 /// @p io_s and @p gen_s accumulate the KmerGen-I/O and KmerGen step walls
-/// for this thread.  Returns the lenient-parse skips this scan observed
-/// (always 0 in packed mode: ingest already recorded them in the arena).
+/// for this thread.  Returns the records handed to rec_fn and the
+/// lenient-parse skips this scan observed (always 0 in packed mode: ingest
+/// already recorded them in the arena).
 template <typename RecFn>
-std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
-                                 double& io_s, double& gen_s, RecFn&& rec_fn) {
+io::BufferParseStats scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
+                                        double& io_s, double& gen_s, RecFn&& rec_fn) {
   util::throw_if_cancelled(ctx.config.cancel_token, "KmerGen chunk");
   const DatasetIndex& index = ctx.index;
   dsu::AtomicDSU& local_cc = ctx.local_cc;
-  std::uint64_t skipped = 0;
+  io::BufferParseStats stats;
   if (ctx.packed != nullptr) {
     const io::PackedStore& ps = *ctx.packed;
     WallTimer gen_timer;
@@ -257,6 +266,7 @@ std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
       const std::uint32_t value = substitute ? local_cc.find(rec.read_id) : rec.read_id;
       rec_fn(value, rec);
     }
+    stats.records = ps.chunk_end(c) - ps.chunk_begin(c);
     span_end(ctx.tr, "KmerGen", gen_t0);
     gen_s += gen_timer.seconds();
   } else {
@@ -274,7 +284,7 @@ std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
     std::uint32_t read_id = chunk.first_read_id;
     io::ParseOptions popt{ctx.config.parse_mode, index.files[chunk.file], chunk.offset,
                           [&read_id] { ++read_id; }};
-    const io::BufferParseStats stats = io::for_each_record_in_buffer(
+    stats = io::for_each_record_in_buffer(
         std::string_view(buffer.data(), buffer.size()),
         [&](std::string_view, std::string_view seq, std::string_view) {
           // LocalCC-Opt (§3.5.1): from pass 2 on, enumerate the component
@@ -286,27 +296,13 @@ std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
         popt);
     span_end(ctx.tr, "KmerGen", gen_t0);
     gen_s += gen_timer.seconds();
-    skipped = stats.skipped;
   }
   obs::Progress::global().chunk_done();
-  return skipped;
-}
-
-/// Per-k-mer form of scan_chunk_records: emit64(km, value) /
-/// emit128(km, value) for every canonical k-mer of the chunk.
-template <typename Emit64, typename Emit128>
-std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double& io_s,
-                         double& gen_s, Emit64&& emit64, Emit128&& emit128) {
-  return scan_chunk_records(
-      ctx, c, substitute, io_s, gen_s, [&](std::uint32_t value, const auto& rec) {
-        for_each_record_kmer(
-            rec, ctx.k, ctx.wide, [&](std::uint64_t km, std::size_t) { emit64(km, value); },
-            [&](kmer::Kmer128 km, std::size_t) { emit128(km, value); });
-      });
+  return stats;
 }
 
 // ---------------------------------------------------------------------------
-// LocalSort + LocalCC (§3.4-§3.5), shared by both pass engines.  An engine
+// LocalSort + LocalCC (§3.4-§3.5), shared by both codecs.  A codec
 // delivers one pass's tuples into T dest-thread regions
 // [region_start[t], region_start[t+1]), each ordered by (src rank, src
 // thread, generation order).  The radix sort is stable, so the sorted
@@ -340,7 +336,7 @@ void sort_region(const PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
 /// Algorithm 1 over one sorted region: each run of equal k-mers whose
 /// frequency the filter accepts chains its reads into union-find edges.
 /// kSentinels: the region may hold kInvalidRead padding (lenient parsing in
-/// the fixed-tuple engine); each sentinel is skipped in both the run's
+/// the fixed-tuple codec); each sentinel is skipped in both the run's
 /// frequency and its chain.  Returns the region's Algorithm 1 iteration
 /// count.
 template <bool kSentinels>
@@ -430,16 +426,14 @@ void sort_and_union(PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-tuple pass engine: the paper's pass loop (§3.2-§3.5), with passes
-// run in groups of G.
+// The pass engine: the paper's pass loop (§3.2-§3.5), with passes run in
+// groups of G, over an exchange codec.
 //
-// One chunk read + k-mer scan generates the tuples of every pass in a group
-// at synchronization-free offsets precomputed from the FASTQPart histograms
-// (§3.2.2).  The offsets have (dest rank, dest thread) granularity, so the
-// receive buffer IS the sort buffer: no partition copy.  Each pass's
-// exchange is posted with async isend/irecv and completed lazily while
-// earlier passes of the group sort and union.  Tuple arrays are leased from
-// util::BufferPool and recycled across passes and groups.
+// One chunk read + record scan feeds every pass of a group (KmerGen).  Each
+// pass's exchange is then posted (KmerGen-Comm) and drained in pass order:
+// complete the exchange, lease the radix scratch, LocalSort + LocalCC, and
+// return the leases.  Tuple arrays are leased from util::BufferPool and
+// recycled across passes and groups under both codecs.
 //
 // G = 1 (PipelineMode::kBarrier) is the paper's schedule: pass s runs
 // KmerGen -> KmerGen-Comm -> LocalSort -> LocalCC to completion, and pass
@@ -449,7 +443,165 @@ void sort_and_union(PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
 // components as of the previous group.  A stale root is still a member of
 // the same component, so the final partition is unchanged (DESIGN.md "Pass
 // engine").
+//
+// The codec is the only part that differs between --comm-compress modes;
+// it is a template parameter because emit runs once per record.  A codec
+// provides:
+//   begin(g)          per-group set-up before KmerGen;
+//   generate(g, t, sweep)
+//                     thread t's KmerGen: calls sweep(emit) once, and the
+//                     loop's chunk scan calls emit(value, rec) per record;
+//   seal(g)           after KmerGen, before any post;
+//   post(g, i)        post pass i's exchange;
+//   wait(g, i)        (P > 1) complete pass i's exchange;
+//   deliver(g, i)     leave pass i's sort input in g.tuples[i] and return
+//                     its T+1 dest-thread region starts;
+//   sentinels         whether the regions may hold lenient-parse padding.
 // ---------------------------------------------------------------------------
+
+/// One pass group: its pass range and every tuple array it holds on lease.
+/// The destructor returns whatever is still leased, so an exception leaving
+/// the group (cancel, comm poison, CheckError) hands every lease back.
+struct PassGroup {
+  PassGroup(TupleLeases& group_leases, int first_pass, int passes)
+      : leases(group_leases), s0(first_pass), npasses(passes) {}
+  PassGroup(const PassGroup&) = delete;
+  PassGroup& operator=(const PassGroup&) = delete;
+  ~PassGroup() {
+    for (TupleBuffer* b : {&send[0], &send[1], &tuples[0], &tuples[1], &scratch}) {
+      if (!b->leased) continue;
+      try {
+        leases.release(*b);
+      } catch (const std::exception& e) {
+        // Only reached while unwinding from the error that matters.
+        LOG_WARN("pass group: lease not returned: " << e.what());
+      }
+    }
+  }
+
+  TupleLeases& leases;
+  const int s0;
+  const int npasses;
+  std::array<TupleBuffer, 2> send;    ///< fixed-tuple codec: generation buffers
+  std::array<TupleBuffer, 2> tuples;  ///< each pass's sort input
+  TupleBuffer scratch;                ///< the draining pass's radix scratch
+};
+
+template <typename Codec>
+void run_passes(PassCtx& ctx, Codec& codec) {
+  const MetaprepConfig& config = ctx.config;
+  RankShared& my = ctx.my;
+  obs::TraceSession& tr = ctx.tr;
+  const int p = ctx.p, T = ctx.T, S = ctx.S;
+  const int G = group_size(config);
+  // Records handed to the codec, summed over each sweep: S/G sweeps, so a
+  // codec that rescans shows here.
+  obs::Counter& m_records = obs::metrics().counter("pipeline.kmergen_records");
+  TupleLeases leases(
+      config.buffer_pool != nullptr ? *config.buffer_pool : util::BufferPool::global(), ctx.wide,
+      my.max_buffer_bytes);
+
+  for (int s0 = 0; s0 < S; s0 += G) {
+    util::throw_if_cancelled(config.cancel_token, "pass group");
+    PassGroup g(leases, s0, std::min(G, S - s0));
+    std::array<double, 2> pass_t0{span_begin(tr), -1.0};
+    codec.begin(g);
+
+    // ---- KmerGen: one chunk read + scan feeds every pass of the group, no
+    // synchronization. ----
+    const bool substitute_components = config.cc_opt && s0 > 0;
+    std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
+    std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
+    std::vector<io::BufferParseStats> scans(static_cast<std::size_t>(T));
+    progress_phase(ctx, "KmerGen");
+    ctx.team.run([&](int t) {
+      obs::TraceSession::set_thread_identity(p, t);
+      const auto ut = static_cast<std::size_t>(t);
+      codec.generate(g, t, [&](auto&& emit) {
+        for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
+          const io::BufferParseStats scan = scan_chunk_records(
+              ctx, c, substitute_components, io_seconds[ut], gen_seconds[ut], emit);
+          scans[ut].records += scan.records;
+          scans[ut].skipped += scan.skipped;
+        }
+      });
+    });
+    my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
+    my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
+    std::uint64_t sweep_records = 0;
+    for (const io::BufferParseStats& scan : scans) {
+      sweep_records += scan.records;
+      // The first sweep visits every record exactly once, so its skip count
+      // is the number of *distinct* records lenient parsing dropped (later
+      // sweeps re-discover the same skips in text mode).
+      if (s0 == 0) my.records_skipped += scan.skipped;
+    }
+    m_records.add(sweep_records);
+    codec.seal(g);
+    phase_boundary(ctx, "KmerGen");
+
+    // ---- KmerGen-Comm: post every pass's exchange. ----
+    progress_phase(ctx, "KmerGen-Comm");
+    for (int i = 0; i < g.npasses; ++i) {
+      obs::TraceSpan comm_span("KmerGen-Comm");
+      WallTimer comm_timer;
+      codec.post(g, i);
+      my.times.add("KmerGen-Comm", comm_timer.seconds());
+    }
+    phase_boundary(ctx, "KmerGen-Comm");
+
+    // ---- Drain the group: while pass s0 sorts and unions, pass s0+1's
+    // exchange stays in flight (straggler ranks may still be generating
+    // it); completing it is the pipeline's only synchronization. ----
+    const double window_t0 = G > 1 ? span_begin(tr) : -1.0;
+    for (int i = 0; i < g.npasses; ++i) {
+      util::throw_if_cancelled(config.cancel_token, "pass drain");
+      const auto si = static_cast<std::size_t>(i);
+      if (i == g.npasses - 1) span_end(tr, "Overlap-Window", window_t0);
+      if (pass_t0[si] < 0.0) pass_t0[si] = span_begin(tr);
+      if (ctx.P > 1) {
+        obs::TraceSpan wait_span("KmerGen-Comm");
+        WallTimer wait_timer;
+        codec.wait(g, i);
+        my.times.add("KmerGen-Comm", wait_timer.seconds());
+      }
+      const std::span<const std::uint64_t> regions = codec.deliver(g, i);
+      g.scratch = leases.acquire(g.tuples[si].size());
+      sort_and_union(ctx, g.tuples[si], g.scratch, regions, codec.sentinels);
+      leases.release(g.scratch);
+      leases.release(g.tuples[si]);
+      ctx.m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
+      span_end(tr, "Pass", pass_t0[si]);
+    }
+  }  // pass groups
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-tuple codec (--comm-compress=none): the paper's exchange.  Tuples
+// go to synchronization-free offsets precomputed from the FASTQPart
+// histograms (§3.2.2).  The offsets have (dest rank, dest thread)
+// granularity, so the receive buffer IS the sort buffer: no partition copy.
+// Each pass's exchange is posted with async isend/irecv and completed by
+// wait_all while earlier passes of the group sort and union.
+// ---------------------------------------------------------------------------
+
+/// Receive layout from per-(src rank q, dest thread dt) tuple counts: T
+/// dest-thread regions (region_start, T+1 offsets), each holding its blocks
+/// in src-rank order (block_start, [q][dt] offsets).  Shared by both codecs.
+void layout_regions(std::span<const std::uint64_t> count, int P, int T,
+                    std::vector<std::uint64_t>& region_start,
+                    std::vector<std::uint64_t>& block_start) {
+  region_start.assign(static_cast<std::size_t>(T) + 1, 0);
+  block_start.assign(static_cast<std::size_t>(P) * T, 0);
+  for (int dt = 0; dt < T; ++dt) {
+    std::uint64_t off = region_start[static_cast<std::size_t>(dt)];
+    for (int q = 0; q < P; ++q) {
+      block_start[static_cast<std::size_t>(q) * T + dt] = off;
+      off += count[static_cast<std::size_t>(q) * T + dt];
+    }
+    region_start[static_cast<std::size_t>(dt) + 1] = off;
+  }
+}
 
 /// Exchange geometry of one pass at (dest rank, dest thread) granularity,
 /// fully precomputed from the index tables.
@@ -517,21 +669,7 @@ PassGeom pass_geometry(const PassCtx& ctx, int s) {
           std::span(g.count_recv).subspan(static_cast<std::size_t>(q) * T, T));
     }
   }
-  g.region_start.assign(static_cast<std::size_t>(T) + 1, 0);
-  for (int dt = 0; dt < T; ++dt) {
-    std::uint64_t tot = 0;
-    for (int q = 0; q < P; ++q) tot += g.count_recv[static_cast<std::size_t>(q) * T + dt];
-    g.region_start[static_cast<std::size_t>(dt) + 1] =
-        g.region_start[static_cast<std::size_t>(dt)] + tot;
-  }
-  g.block_start.assign(static_cast<std::size_t>(P) * T, 0);
-  for (int dt = 0; dt < T; ++dt) {
-    std::uint64_t off = g.region_start[static_cast<std::size_t>(dt)];
-    for (int q = 0; q < P; ++q) {
-      g.block_start[static_cast<std::size_t>(q) * T + dt] = off;
-      off += g.count_recv[static_cast<std::size_t>(q) * T + dt];
-    }
-  }
+  layout_regions(g.count_recv, P, T, g.region_start, g.block_start);
   g.total_in = g.region_start[static_cast<std::size_t>(T)];
   return g;
 }
@@ -584,252 +722,150 @@ void post_exchange(PassCtx& ctx, int s, const PassGeom& g, const TupleBuffer& se
   };
   post_array(0, sendb.keys.data(), recvb.keys.data(), 8);
   post_array(1, sendb.vals.data(), recvb.vals.data(), 4);
-  if (sendb.wide) post_array(2, sendb.keys_hi.data(), recvb.keys_hi.data(), 8);
+  if (ctx.wide) post_array(2, sendb.keys_hi.data(), recvb.keys_hi.data(), 8);
 }
 
-void run_passes_fixed(PassCtx& ctx) {
-  const MetaprepConfig& config = ctx.config;
-  const ChunkAssignment& ca = ctx.ca;
-  mpsim::Comm& comm = ctx.comm;
-  ThreadTeam& team = ctx.team;
-  RankShared& my = ctx.my;
-  obs::TraceSession& tr = ctx.tr;
-  const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k, m = ctx.m;
-  const bool wide = ctx.wide;
-  const int G = group_size(config);
-  const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  if (nslots > 0xFFFF)
-    throw util::config_error("tuple exchange: P*T must fit the 16-bit slot table");
 
-  util::BufferPool& pool =
-      config.buffer_pool != nullptr ? *config.buffer_pool : util::BufferPool::global();
-  std::uint64_t live_bytes = 0;
-  auto tuple_bytes_of = [wide](std::size_t n) { return n * (wide ? 20ull : 12ull); };
-  auto acquire_tuples = [&](std::size_t n) {
-    const obs::MemScope tuples_scope("tuples");  // tags the pool lease below
-    TupleBuffer b;
-    b.wide = wide;
-    b.keys = pool.acquire_u64(n);
-    if (wide) b.keys_hi = pool.acquire_u64(n);
-    b.vals = pool.acquire_u32(n);
-    live_bytes += tuple_bytes_of(n);
-    my.max_buffer_bytes = std::max(my.max_buffer_bytes, live_bytes);
-    return b;
-  };
-  auto release_tuples = [&](TupleBuffer&& b) {
-    const obs::MemScope tuples_scope("tuples");
-    live_bytes -= tuple_bytes_of(b.size());
-    pool.release(std::move(b.keys));
-    // keys_hi is only leased for wide keys; releasing the empty vector would
-    // (correctly) trip the pool's double-release check.
-    if (b.wide) pool.release(std::move(b.keys_hi));
-    pool.release(std::move(b.vals));
-  };
+class FixedTupleCodec {
+ public:
+  explicit FixedTupleCodec(PassCtx& ctx)
+      : sentinels(ctx.config.parse_mode == io::ParseMode::kLenient),
+        ctx_(ctx),
+        nslots_(static_cast<std::size_t>(ctx.P) * ctx.T) {}
 
-  for (int s0 = 0; s0 < S; s0 += G) {
-    util::throw_if_cancelled(config.cancel_token, "pass group");
-    const int npasses = std::min(G, S - s0);
-    std::array<double, 2> pass_t0{span_begin(tr), -1.0};
-    std::array<PassGeom, 2> geom;
-    std::array<TupleBuffer, 2> send_buf;
-    std::array<TupleBuffer, 2> recv_buf;
-    // Liveness flags + guard: any exception leaving this group (cancel,
-    // comm poison, CheckError) releases whatever is still leased.  Flags
-    // rather than emptiness tests so a zero-tuple lease is still returned.
-    std::array<bool, 2> send_live{false, false};
-    std::array<bool, 2> recv_live{false, false};
-    ScopeExit lease_guard([&] {
-      for (std::size_t i = 0; i < 2; ++i) {
-        if (send_live[i]) release_tuples(std::move(send_buf[i]));
-        if (recv_live[i]) release_tuples(std::move(recv_buf[i]));
-      }
-    });
-    std::array<std::vector<mpsim::Request>, 2> pending;
-    std::array<std::vector<std::uint64_t>, 2> cursor;
-    for (int i = 0; i < npasses; ++i) {
-      geom[static_cast<std::size_t>(i)] = pass_geometry(ctx, s0 + i);
-      send_buf[static_cast<std::size_t>(i)] =
-          acquire_tuples(geom[static_cast<std::size_t>(i)].total_out);
-      send_live[static_cast<std::size_t>(i)] = true;
-      cursor[static_cast<std::size_t>(i)] = geom[static_cast<std::size_t>(i)].cursor_start;
-      my.tuples += geom[static_cast<std::size_t>(i)].total_out;
-      ctx.m_tuples.add(geom[static_cast<std::size_t>(i)].total_out);
+  /// Only lenient parsing can skip a record the histograms counted.
+  const bool sentinels;
+
+  void begin(PassGroup& g) {
+    for (int i = 0; i < g.npasses; ++i) {
+      const auto si = static_cast<std::size_t>(i);
+      geom_[si] = pass_geometry(ctx_, g.s0 + i);
+      g.send[si] = g.leases.acquire(geom_[si].total_out);
+      cursor_[si] = geom_[si].cursor_start;
+      ctx_.my.tuples += geom_[si].total_out;
+      ctx_.m_tuples.add(geom_[si].total_out);
     }
+  }
 
-    // ---- KmerGen: one chunk read + scan fills every pass buffer in the
-    // group, no synchronization. ----
-    const bool substitute_components = config.cc_opt && s0 > 0;
-    const std::uint32_t lo = geom[0].pass_lo;
-    const std::uint32_t mid = geom[0].pass_hi;
-    const std::uint32_t hi = geom[static_cast<std::size_t>(npasses) - 1].pass_hi;
-    std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<std::uint64_t> skip_counts(static_cast<std::size_t>(T), 0);
-    progress_phase(ctx, "KmerGen");
-    team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
-      std::uint64_t* cur0 = cursor[0].data() + static_cast<std::size_t>(t) * nslots;
-      std::uint64_t* cur1 =
-          npasses > 1 ? cursor[1].data() + static_cast<std::size_t>(t) * nslots : nullptr;
-      TupleBuffer& out0 = send_buf[0];
-      TupleBuffer& out1 = send_buf[1];
-      auto emit64 = [&](std::uint64_t km, std::uint32_t value) {
-        const std::uint32_t bin = kmer::prefix_bin64(km, k, m);
+  /// Every canonical k-mer of a record whose m-mer bin falls in the group's
+  /// range goes to its pass's next cursor slot.
+  template <typename Sweep>
+  void generate(PassGroup& g, int t, Sweep&& sweep) {
+    const int k = ctx_.k, m = ctx_.m;
+    const PassGeom& g0 = geom_[0];
+    const PassGeom& g1 = geom_[1];
+    const std::uint32_t lo = g0.pass_lo;
+    const std::uint32_t mid = g0.pass_hi;
+    const std::uint32_t hi = geom_[static_cast<std::size_t>(g.npasses) - 1].pass_hi;
+    // This thread's cursor rows, copied out of the shared [t][slot] tables
+    // and written back after the sweep: neighbouring threads' rows share
+    // cache lines, and incrementing them in place from T threads at once
+    // false-shares them (~1.6x slower KmerGen on XL-mini at P=1 T=4,
+    // measured on a 4-vCPU host).
+    const auto row = static_cast<std::ptrdiff_t>(t) * static_cast<std::ptrdiff_t>(nslots_);
+    std::array<std::vector<std::uint64_t>, 2> cur;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(g.npasses); ++i)
+      cur[i].assign(cursor_[i].begin() + row, cursor_[i].begin() + row + nslots_);
+    std::uint64_t* cur0 = cur[0].data();
+    std::uint64_t* cur1 = cur[1].data();
+    TupleBuffer& out0 = g.send[0];
+    TupleBuffer& out1 = g.send[1];
+    sweep([&](std::uint32_t value, const auto& rec) {
+      for_each_record_kmer(rec, k, ctx_.wide, [&](auto km, std::size_t) {
+        std::uint32_t bin;
+        if constexpr (std::is_same_v<decltype(km), kmer::Kmer128>) {
+          bin = kmer::prefix_bin128(km, k, m);
+        } else {
+          bin = kmer::prefix_bin64(km, k, m);
+        }
         if (bin < lo || bin >= hi) return;
         if (bin < mid) {
-          const std::uint64_t at = cur0[geom[0].slot_of_bin[bin - lo]]++;
-          out0.keys[at] = km;
-          out0.vals[at] = value;
+          put_tuple(out0, cur0[g0.slot_of_bin[bin - lo]]++, km, value);
         } else {
-          const std::uint64_t at = cur1[geom[1].slot_of_bin[bin - mid]]++;
-          out1.keys[at] = km;
-          out1.vals[at] = value;
+          put_tuple(out1, cur1[g1.slot_of_bin[bin - mid]]++, km, value);
         }
-      };
-      auto emit128 = [&](kmer::Kmer128 km, std::uint32_t value) {
-        const std::uint32_t bin = kmer::prefix_bin128(km, k, m);
-        if (bin < lo || bin >= hi) return;
-        if (bin < mid) {
-          const std::uint64_t at = cur0[geom[0].slot_of_bin[bin - lo]]++;
-          out0.keys[at] = km.lo;
-          out0.keys_hi[at] = km.hi;
-          out0.vals[at] = value;
-        } else {
-          const std::uint64_t at = cur1[geom[1].slot_of_bin[bin - mid]]++;
-          out1.keys[at] = km.lo;
-          out1.keys_hi[at] = km.hi;
-          out1.vals[at] = value;
-        }
-      };
-      for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-        skip_counts[static_cast<std::size_t>(t)] +=
-            scan_chunk(ctx, c, substitute_components,
-                       io_seconds[static_cast<std::size_t>(t)],
-                       gen_seconds[static_cast<std::size_t>(t)], emit64, emit128);
-      }
+      });
     });
-    my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
-    my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
-    if (s0 == 0) {
-      // The first sweep visits every record exactly once, so its skip count
-      // is the number of *distinct* records lenient parsing dropped (later
-      // sweeps re-discover the same skips in text mode).
-      for (std::uint64_t sk : skip_counts) my.records_skipped += sk;
-    }
-    phase_boundary(ctx, "KmerGen");
+    for (std::size_t i = 0; i < static_cast<std::size_t>(g.npasses); ++i)
+      std::copy(cur[i].begin(), cur[i].end(), cursor_[i].begin() + row);
+  }
 
-    // Lenient parsing may have skipped records that the (clean-data) chunk
-    // histograms counted, leaving some (thread, slot) blocks under-filled.
-    // The exchange geometry is precomputed on both sides, so the gap slots
-    // ship regardless: fill them with sentinel tuples keyed at the slot's
-    // first bin (so they stay inside the dest thread's range) whose value
-    // is kInvalidRead (so LocalCC skips them).
-    for (int i = 0; i < npasses; ++i) {
-      const PassGeom& g = geom[static_cast<std::size_t>(i)];
-      TupleBuffer& buf = send_buf[static_cast<std::size_t>(i)];
-      auto& cur = cursor[static_cast<std::size_t>(i)];
-      for (int t = 0; t < T; ++t) {
-        for (std::size_t slot = 0; slot < nslots; ++slot) {
-          const std::size_t ts = static_cast<std::size_t>(t) * nslots + slot;
-          const std::uint64_t block_end = g.cursor_start[ts] + g.count_send[ts];
+  /// Lenient parsing may have skipped records that the (clean-data) chunk
+  /// histograms counted, leaving some (thread, slot) blocks under-filled.
+  /// The exchange geometry is precomputed on both sides, so the gap slots
+  /// ship regardless: fill them with sentinel tuples keyed at the slot's
+  /// first bin (so they stay inside the dest thread's range) whose value is
+  /// kInvalidRead (so LocalCC skips them).
+  void seal(PassGroup& g) {
+    const int k = ctx_.k, m = ctx_.m;
+    const bool wide = ctx_.wide;
+    for (int i = 0; i < g.npasses; ++i) {
+      const PassGeom& pg = geom_[static_cast<std::size_t>(i)];
+      TupleBuffer& buf = g.send[static_cast<std::size_t>(i)];
+      auto& cur = cursor_[static_cast<std::size_t>(i)];
+      for (int t = 0; t < ctx_.T; ++t) {
+        for (std::size_t slot = 0; slot < nslots_; ++slot) {
+          const std::size_t ts = static_cast<std::size_t>(t) * nslots_ + slot;
+          const std::uint64_t block_end = pg.cursor_start[ts] + pg.count_send[ts];
           if (cur[ts] == block_end) continue;
-          const auto bin = static_cast<std::uint64_t>(g.slot_bounds[slot]);
-          const int shift = 2 * (k - m);
-          std::uint64_t s_lo, s_hi;
-          if (!wide) {
-            s_lo = bin << shift;
-            s_hi = 0;
-          } else if (shift >= 64) {
-            s_hi = bin << (shift - 64);
-            s_lo = 0;
-          } else {
-            s_lo = bin << shift;
-            s_hi = bin >> (64 - shift);
-          }
+          const auto key = static_cast<unsigned __int128>(pg.slot_bounds[slot]) << (2 * (k - m));
           for (std::uint64_t at = cur[ts]; at < block_end; ++at) {
-            buf.keys[at] = s_lo;
-            if (wide) buf.keys_hi[at] = s_hi;
+            buf.keys[at] = static_cast<std::uint64_t>(key);
+            if (wide) buf.keys_hi[at] = static_cast<std::uint64_t>(key >> 64);
             buf.vals[at] = kInvalidRead;
           }
           cur[ts] = block_end;
         }
       }
     }
+  }
 
-    // ---- KmerGen-Comm: post every pass's exchange; sends are buffered, so
-    // the send buffers go back to the pool immediately (the mailbox owns the
-    // in-flight copies — DESIGN.md "Buffer-pool ownership"). ----
-    progress_phase(ctx, "KmerGen-Comm");
-    for (int i = 0; i < npasses; ++i) {
-      obs::TraceSpan comm_span("KmerGen-Comm");
-      WallTimer comm_timer;
-      const std::size_t si = static_cast<std::size_t>(i);
-      if (P == 1) {
-        // Slot layout == region layout at P == 1: the generation buffer IS
-        // the sort buffer; no exchange, no copy.
-        recv_buf[si] = std::move(send_buf[si]);
-        send_buf[si] = TupleBuffer{};
-        recv_live[si] = send_live[si];
-        send_live[si] = false;
-      } else {
-        recv_buf[si] = acquire_tuples(geom[si].total_in);
-        recv_live[si] = true;
-        post_exchange(ctx, s0 + i, geom[si], send_buf[si], recv_buf[si], pending[si]);
-        release_tuples(std::move(send_buf[si]));
-        send_buf[si] = TupleBuffer{};
-        send_live[si] = false;
-        // Cross-rank tuples = everything outside my own P*T slot block;
-        // uncompressed, so shipped == raw.
-        const std::uint64_t cross =
-            geom[si].total_out -
-            (geom[si].slot_start[(static_cast<std::size_t>(p) + 1) * T] -
-             geom[si].slot_start[static_cast<std::size_t>(p) * T]);
-        my.exchange_bytes += cross * (wide ? 20u : 12u);
-        my.exchange_bytes_raw += cross * (wide ? 20u : 12u);
-      }
-      my.times.add("KmerGen-Comm", comm_timer.seconds());
+  /// Sends are buffered, so the send buffer goes back to the pool as soon
+  /// as the post returns (the mailbox owns the in-flight copies — DESIGN.md
+  /// "Buffer-pool ownership").
+  void post(PassGroup& g, int i) {
+    const auto si = static_cast<std::size_t>(i);
+    const PassGeom& pg = geom_[si];
+    if (ctx_.P == 1) {
+      // Slot layout == region layout at P == 1: the generation buffer IS
+      // the sort buffer; no exchange, no copy.
+      g.tuples[si] = std::exchange(g.send[si], TupleBuffer{});
+      return;
     }
-    phase_boundary(ctx, "KmerGen-Comm");
+    g.tuples[si] = g.leases.acquire(pg.total_in);
+    post_exchange(ctx_, g.s0 + i, pg, g.send[si], g.tuples[si], pending_[si]);
+    g.leases.release(g.send[si]);
+    // Cross-rank tuples = everything outside my own P*T slot block;
+    // uncompressed, so shipped == raw.
+    const auto p = static_cast<std::size_t>(ctx_.p);
+    const std::uint64_t cross =
+        pg.total_out - (pg.slot_start[(p + 1) * ctx_.T] - pg.slot_start[p * ctx_.T]);
+    const std::uint64_t bytes = cross * (ctx_.wide ? 20u : 12u);
+    ctx_.my.exchange_bytes += bytes;
+    ctx_.my.exchange_bytes_raw += bytes;
+  }
 
-    // ---- Drain the group: while pass s0 sorts and unions, pass s0+1's
-    // exchange stays in flight (straggler ranks may still be generating
-    // it); its wait_all is the pipeline's only synchronization. ----
-    const double window_t0 = G > 1 ? span_begin(tr) : -1.0;
-    for (int i = 0; i < npasses; ++i) {
-      util::throw_if_cancelled(config.cancel_token, "pass drain");
-      const std::size_t si = static_cast<std::size_t>(i);
-      const PassGeom& g = geom[si];
-      TupleBuffer& tuples = recv_buf[si];
-      if (i == npasses - 1) span_end(tr, "Overlap-Window", window_t0);
-      if (pass_t0[si] < 0.0) pass_t0[si] = span_begin(tr);
-      if (P > 1) {
-        obs::TraceSpan wait_span("KmerGen-Comm");
-        WallTimer wait_timer;
-        comm.wait_all(pending[si]);
-        pending[si].clear();
-        my.times.add("KmerGen-Comm", wait_timer.seconds());
-      }
+  void wait(PassGroup&, int i) {
+    auto& pending = pending_[static_cast<std::size_t>(i)];
+    ctx_.comm.wait_all(pending);
+    pending.clear();
+  }
 
-      TupleBuffer scratch = acquire_tuples(g.total_in);
-      ScopeExit scratch_guard([&] { release_tuples(std::move(scratch)); });
-      // Only lenient parsing can skip a record the histograms counted.
-      sort_and_union(ctx, tuples, scratch, g.region_start,
-                     config.parse_mode == io::ParseMode::kLenient);
-      scratch_guard.dismiss();
-      release_tuples(std::move(scratch));
+  std::span<const std::uint64_t> deliver(PassGroup&, int i) {
+    return geom_[static_cast<std::size_t>(i)].region_start;
+  }
 
-      release_tuples(std::move(tuples));
-      recv_buf[si] = TupleBuffer{};
-      recv_live[si] = false;
-      ctx.m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
-      span_end(tr, "Pass", pass_t0[si]);
-    }
-  }  // pass groups
-}
+ private:
+  PassCtx& ctx_;
+  const std::size_t nslots_;
+  std::array<PassGeom, 2> geom_;
+  std::array<std::vector<std::uint64_t>, 2> cursor_;
+  std::array<std::vector<mpsim::Request>, 2> pending_;
+};
 
 // ---------------------------------------------------------------------------
-// Super-k-mer pass engine (--comm-compress=superkmer) over a variable-size
-// staged exchange.
+// Super-k-mer codec (--comm-compress=superkmer) over a variable-size staged
+// exchange.
 //
 // Routing.  Whole runs route by minimizer-hash bin (kmer::minimizer_bin):
 // the minimizer is a deterministic function of the canonical k-mer, so
@@ -843,9 +879,9 @@ void run_passes_fixed(PassCtx& ctx) {
 // dest-thread section), then section dt = 0..T-1, each the concatenation of
 // the source's T thread streams for slot d*T+dt.  The receiver sizes T sort
 // regions (one per dest thread, blocks ordered by src rank — the same order
-// the fixed-tuple engine produces), expands records at exact offsets, then
-// runs the shared LocalSort/LocalCC.  Equivalence arguments: DESIGN.md
-// "Exchange compression".
+// the fixed-tuple codec produces) and expands records at exact offsets into
+// a leased tuple buffer.  Equivalence arguments: DESIGN.md "Exchange
+// compression".
 // ---------------------------------------------------------------------------
 
 /// Tag space disjoint from the fixed-tuple exchange (2'000'000+) and
@@ -908,306 +944,250 @@ std::vector<CompressPassGeom> make_compress_plan(int S, int P, int T) {
   return plan;
 }
 
-/// The super-k-mer pass engine: the same grouping by G and the same §3.5.1
-/// substitution as run_passes_fixed.
-void run_passes_compressed(PassCtx& ctx, const std::vector<CompressPassGeom>& cplan) {
-  const MetaprepConfig& config = ctx.config;
-  const ChunkAssignment& ca = ctx.ca;
-  mpsim::Comm& comm = ctx.comm;
-  ThreadTeam& team = ctx.team;
-  RankShared& my = ctx.my;
-  obs::TraceSession& tr = ctx.tr;
-  const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k;
-  const bool wide = ctx.wide;
-  const int msk = config.superkmer_minimizer_len;
-  const std::uint64_t tuple_bytes = wide ? 20 : 12;
-  const std::uint32_t R = ctx.index.total_reads;
-  const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  const int G = group_size(config);
-  // Stream work counters: copied bytes far above stream bytes is the
-  // signature of a stream that regrows on every append.
-  obs::Counter& m_grow = obs::metrics().counter("comm.stream_grow_events");
-  obs::Counter& m_copied = obs::metrics().counter("comm.stream_copied_bytes");
-  obs::Counter& m_stream = obs::metrics().counter("comm.stream_bytes");
+class SuperKmerCodec {
+ public:
+  SuperKmerCodec(PassCtx& ctx, const std::vector<CompressPassGeom>& cplan)
+      : ctx_(ctx),
+        cplan_(cplan),
+        nslots_(static_cast<std::size_t>(ctx.P) * ctx.T),
+        counts_(static_cast<std::size_t>(ctx.T)),
+        msgs_(static_cast<std::size_t>(ctx.P)) {}
 
-  TupleBuffer tuples;
-  TupleBuffer scratch;
-  tuples.wide = wide;
-  scratch.wide = wide;
+  /// Lenient-parse skips simply emit nothing: variable-size messages need
+  /// no sentinel padding.
+  const bool sentinels = false;
 
-  for (int s0 = 0; s0 < S; s0 += G) {
-    util::throw_if_cancelled(ctx.config.cancel_token, "compressed pass group");
-    const int npasses = std::min(G, S - s0);
-    std::array<double, 2> pass_t0{span_begin(tr), -1.0};
-    const std::uint32_t g0lo = cplan[static_cast<std::size_t>(s0)].lo;
-    const std::uint32_t g0hi = cplan[static_cast<std::size_t>(s0)].hi;
-    const std::uint32_t g1lo = npasses > 1 ? cplan[static_cast<std::size_t>(s0) + 1].lo : 0;
-    const std::uint32_t g1hi = npasses > 1 ? cplan[static_cast<std::size_t>(s0) + 1].hi : 0;
-
-    // Per (pass-in-group, my thread, slot) byte streams; concatenated into
-    // one message per (dest, pass) below.
-    std::array<std::vector<std::vector<std::vector<std::byte>>>, 2> streams;
-    for (int i = 0; i < npasses; ++i) {
-      streams[static_cast<std::size_t>(i)].assign(
-          static_cast<std::size_t>(T), std::vector<std::vector<std::byte>>(nslots));
+  void begin(PassGroup& g) {
+    for (int i = 0; i < g.npasses; ++i) {
+      streams_[static_cast<std::size_t>(i)].assign(
+          static_cast<std::size_t>(ctx_.T), std::vector<std::vector<std::byte>>(nslots_));
     }
+  }
 
-    // ---- KmerGen (fused over the group): emit wire
-    // records instead of fixed tuples.  Lenient-parse skips simply emit
-    // nothing — variable-size messages need no sentinel padding. ----
-    const bool substitute_components = config.cc_opt && s0 > 0;
-    std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<std::uint64_t> skip_counts(static_cast<std::size_t>(T), 0);
-    // Per-thread work counts, written back once when the thread's sweep ends.
-    struct GenCounts {
-      std::uint64_t raw_kmers = 0;     ///< k-mers bound for another rank
-      std::uint64_t kmers = 0;
-      std::uint64_t records = 0;
-      std::uint64_t grow_events = 0;   ///< appends that reallocated a stream
-      std::uint64_t copied_bytes = 0;  ///< bytes those reallocations moved
-      std::uint64_t stream_bytes = 0;  ///< final size of this thread's streams
-      std::uint64_t stream_capacity = 0;
-    };
-    std::vector<GenCounts> gen_counts(static_cast<std::size_t>(T));
-    progress_phase(ctx, "KmerGen");
-    team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
-      const std::size_t ut = static_cast<std::size_t>(t);
-      GenCounts c;
-      // pass-in-group of a routing bin, or -1 when outside the group.
-      auto group_pass_of = [&](std::uint32_t bin) -> int {
-        if (bin >= g0lo && bin < g0hi) return 0;
-        if (npasses > 1 && bin >= g1lo && bin < g1hi) return 1;
-        return -1;
-      };
-      kmer::SuperKmerScanner scanner;
-      auto handle_record = [&](std::uint32_t value, const auto& rec) {
-        for_each_run(scanner, rec, k, msk,
-                     [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
-          const std::uint32_t bin = kmer::minimizer_bin(mz);
-          const int i = group_pass_of(bin);
-          if (i < 0) return;
-          const CompressPassGeom& pg = cplan[static_cast<std::size_t>(s0 + i)];
-          const std::uint16_t slot = pg.slot_of_bin[bin - pg.lo];
-          const int d = slot / T;
-          std::vector<std::byte>& stream = streams[static_cast<std::size_t>(i)][ut][slot];
-          if (d != p) c.raw_kmers += count;
-          c.kmers += count;
-          for (std::uint32_t a = 0; a < count;) {
-            const std::uint32_t take = std::min(count - a, kmer::kMaxSuperKmerRun);
-            const std::size_t cap0 = stream.capacity();
-            const std::size_t size0 = stream.size();
-            kmer::append_superkmer_record(
-                stream, value, take, k,
-                [&](std::size_t j) { return code_at(rec, start + a + j); });
-            if (stream.capacity() != cap0) {
-              ++c.grow_events;
-              c.copied_bytes += size0;
-            }
-            ++c.records;
-            a += take;
-          }
-        });
-      };
-      for (std::uint32_t ch = ca.thread_begin(p, t); ch < ca.thread_end(p, t); ++ch) {
-        skip_counts[ut] += scan_chunk_records(ctx, ch, substitute_components, io_seconds[ut],
-                                              gen_seconds[ut], handle_record);
-      }
-      for (int i = 0; i < npasses; ++i) {
-        for (const std::vector<std::byte>& st : streams[static_cast<std::size_t>(i)][ut]) {
-          c.stream_bytes += st.size();
-          c.stream_capacity += st.capacity();
+  /// Every super-k-mer run of a record whose minimizer bin falls in the
+  /// group's range is appended as wire records to its (pass, slot) stream.
+  template <typename Sweep>
+  void generate(PassGroup& g, int t, Sweep&& sweep) {
+    const int k = ctx_.k, p = ctx_.p, T = ctx_.T;
+    const int msk = ctx_.config.superkmer_minimizer_len;
+    const auto ut = static_cast<std::size_t>(t);
+    const CompressPassGeom& pg0 = cplan_[static_cast<std::size_t>(g.s0)];
+    const CompressPassGeom* pg1 =
+        g.npasses > 1 ? &cplan_[static_cast<std::size_t>(g.s0) + 1] : nullptr;
+    GenCounts c;
+    kmer::SuperKmerScanner scanner;
+    sweep([&](std::uint32_t value, const auto& rec) {
+      for_each_run(scanner, rec, k, msk,
+                   [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
+        const std::uint32_t bin = kmer::minimizer_bin(mz);
+        int i = 0;
+        const CompressPassGeom* pg = &pg0;
+        if (bin < pg0.lo || bin >= pg0.hi) {
+          if (pg1 == nullptr || bin < pg1->lo || bin >= pg1->hi) return;
+          i = 1;
+          pg = pg1;
         }
-      }
-      gen_counts[ut] = c;
+        const std::uint16_t slot = pg->slot_of_bin[bin - pg->lo];
+        std::vector<std::byte>& stream = streams_[static_cast<std::size_t>(i)][ut][slot];
+        if (slot / T != p) c.raw_kmers += count;
+        c.kmers += count;
+        for (std::uint32_t a = 0; a < count;) {
+          const std::uint32_t take = std::min(count - a, kmer::kMaxSuperKmerRun);
+          const std::size_t cap0 = stream.capacity();
+          const std::size_t size0 = stream.size();
+          kmer::append_superkmer_record(
+              stream, value, take, k, [&](std::size_t j) { return code_at(rec, start + a + j); });
+          if (stream.capacity() != cap0) {
+            ++c.grow_events;
+            c.copied_bytes += size0;
+          }
+          ++c.records;
+          a += take;
+        }
+      });
     });
-    my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
-    my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
-    if (s0 == 0) {
-      for (std::uint64_t sk : skip_counts) my.records_skipped += sk;
+    for (int i = 0; i < g.npasses; ++i) {
+      for (const std::vector<std::byte>& st : streams_[static_cast<std::size_t>(i)][ut]) {
+        c.stream_bytes += st.size();
+        c.stream_capacity += st.capacity();
+      }
     }
+    counts_[ut] = c;
+  }
+
+  void seal(PassGroup& g) {
+    RankShared& my = ctx_.my;
+    const std::uint64_t tuple_bytes = ctx_.wide ? 20 : 12;
     std::uint64_t stream_capacity = 0;
-    for (const GenCounts& c : gen_counts) {
+    for (const GenCounts& c : counts_) {
       my.exchange_bytes_raw += c.raw_kmers * tuple_bytes;
       my.tuples += c.kmers;
       my.superkmer_records += c.records;
-      ctx.m_tuples.add(c.kmers);
-      m_grow.add(c.grow_events);
-      m_copied.add(c.copied_bytes);
-      m_stream.add(c.stream_bytes);
+      ctx_.m_tuples.add(c.kmers);
+      m_grow_.add(c.grow_events);
+      m_copied_.add(c.copied_bytes);
+      m_stream_.add(c.stream_bytes);
       stream_capacity += c.stream_capacity;
     }
-    // The streams peak here and coexist with the previous pass's sort
-    // buffers; they stay charged to "comm" until the messages are built.
-    my.max_buffer_bytes =
-        std::max(my.max_buffer_bytes, tuples.bytes() + scratch.bytes() + stream_capacity);
-    phase_boundary(ctx, "KmerGen");
+    // The streams peak here; they stay charged to "comm" until the last
+    // message of the group is built.
+    g.leases.note_peak(stream_capacity);
+    streams_mem_.emplace("comm", stream_capacity);
+  }
 
-    // ---- KmerGen-Comm: one message per (dest, pass), always sent (the
-    // u64 lens[T] header makes even an empty message well-formed and keeps
-    // the receive count deterministic). ----
-    progress_phase(ctx, "KmerGen-Comm");
-    std::array<std::vector<std::byte>, 2> self_msg;
-    // Charged until every stream has been copied into its message and freed.
-    std::optional<obs::MemCharge> streams_mem(std::in_place, "comm", stream_capacity);
-    for (int i = 0; i < npasses; ++i) {
-      obs::TraceSpan comm_span("KmerGen-Comm");
-      WallTimer comm_timer;
-      const std::size_t si = static_cast<std::size_t>(i);
-      for (int d = 0; d < P; ++d) {
-        std::vector<std::byte> msg;
-        std::size_t total = 8u * static_cast<std::size_t>(T);
-        for (int dt = 0; dt < T; ++dt) {
-          for (int t = 0; t < T; ++t) {
-            total += streams[si][static_cast<std::size_t>(t)]
-                            [static_cast<std::size_t>(d) * T + dt].size();
-          }
-        }
-        msg.reserve(total);
-        for (int dt = 0; dt < T; ++dt) {
-          std::uint64_t len = 0;
-          for (int t = 0; t < T; ++t) {
-            len += streams[si][static_cast<std::size_t>(t)]
-                          [static_cast<std::size_t>(d) * T + dt].size();
-          }
-          append_le(msg, len, 8);
-        }
-        for (int dt = 0; dt < T; ++dt) {
-          for (int t = 0; t < T; ++t) {
-            auto& st = streams[si][static_cast<std::size_t>(t)]
-                              [static_cast<std::size_t>(d) * T + dt];
-            msg.insert(msg.end(), st.begin(), st.end());
-            st.clear();
-            st.shrink_to_fit();
-          }
-        }
-        if (d == p) {
-          self_msg[si] = std::move(msg);
-        } else {
-          my.exchange_bytes += msg.size();
-          comm.isend(d, kCompressTagBase + s0 + i, msg.data(), msg.size());
+  /// One message per (dest, pass), always sent (the u64 lens[T] header
+  /// makes even an empty message well-formed and keeps the receive count
+  /// deterministic).
+  void post(PassGroup& g, int i) {
+    const int p = ctx_.p, P = ctx_.P, T = ctx_.T;
+    const auto si = static_cast<std::size_t>(i);
+    auto stream = [&](int t, int d, int dt) -> std::vector<std::byte>& {
+      return streams_[si][static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt];
+    };
+    for (int d = 0; d < P; ++d) {
+      std::vector<std::byte> msg;
+      std::size_t total = 8u * static_cast<std::size_t>(T);
+      for (int dt = 0; dt < T; ++dt) {
+        for (int t = 0; t < T; ++t) total += stream(t, d, dt).size();
+      }
+      msg.reserve(total);
+      for (int dt = 0; dt < T; ++dt) {
+        std::uint64_t len = 0;
+        for (int t = 0; t < T; ++t) len += stream(t, d, dt).size();
+        append_le(msg, len, 8);
+      }
+      for (int dt = 0; dt < T; ++dt) {
+        for (int t = 0; t < T; ++t) {
+          std::vector<std::byte>& st = stream(t, d, dt);
+          msg.insert(msg.end(), st.begin(), st.end());
+          st.clear();
+          st.shrink_to_fit();
         }
       }
-      my.times.add("KmerGen-Comm", comm_timer.seconds());
+      if (d == p) {
+        self_msg_[si] = std::move(msg);
+      } else {
+        ctx_.my.exchange_bytes += msg.size();
+        ctx_.comm.isend(d, kCompressTagBase + g.s0 + i, msg.data(), msg.size());
+      }
     }
-    streams_mem.reset();
-    phase_boundary(ctx, "KmerGen-Comm");
+    if (i == g.npasses - 1) streams_mem_.reset();
+  }
 
-    // ---- Drain the group pass by pass: receive, expand, sort, union. ----
-    for (int i = 0; i < npasses; ++i) {
-      const std::size_t si = static_cast<std::size_t>(i);
-      if (pass_t0[si] < 0.0) pass_t0[si] = span_begin(tr);
-      std::vector<std::vector<std::byte>> msgs(static_cast<std::size_t>(P));
-      msgs[static_cast<std::size_t>(p)] = std::move(self_msg[si]);
-      if (P > 1) {
-        obs::TraceSpan wait_span("KmerGen-Comm");
-        WallTimer wait_timer;
-        for (int stage = 1; stage < P; ++stage) {
-          const int q = (p - stage + P) % P;
-          msgs[static_cast<std::size_t>(q)] =
-              comm.recv_any_size(q, kCompressTagBase + s0 + i);
-        }
-        my.times.add("KmerGen-Comm", wait_timer.seconds());
+  void wait(PassGroup& g, int i) {
+    const int p = ctx_.p, P = ctx_.P;
+    for (int stage = 1; stage < P; ++stage) {
+      const int q = (p - stage + P) % P;
+      msgs_[static_cast<std::size_t>(q)] =
+          ctx_.comm.recv_any_size(q, kCompressTagBase + g.s0 + i);
+    }
+  }
+
+  /// Expand: size the T sort regions from the headers, validate and count
+  /// every record, then decode at exact offsets in parallel into a leased
+  /// tuple buffer.  Region dt holds blocks ordered by src rank q ascending —
+  /// the same (src rank, src thread, generation order) sequence the
+  /// fixed-tuple codec delivers, so the stable sort sees equivalent input.
+  /// The messages are freed before the loop leases the radix scratch.
+  std::span<const std::uint64_t> deliver(PassGroup& g, int i) {
+    const int p = ctx_.p, P = ctx_.P, T = ctx_.T, k = ctx_.k;
+    const bool wide = ctx_.wide;
+    const std::uint32_t R = ctx_.index.total_reads;
+    msgs_[static_cast<std::size_t>(p)] = std::move(self_msg_[static_cast<std::size_t>(i)]);
+    std::uint64_t msg_bytes = 0;
+    for (const auto& msg : msgs_) msg_bytes += msg.size();
+    const obs::MemCharge msgs_mem("comm", msg_bytes);
+
+    progress_phase(ctx_, "Expand");
+    const double ex_t0 = span_begin(ctx_.tr);
+    WallTimer ex_timer;
+    std::vector<std::uint64_t> sec_off(nslots_, 0);
+    std::vector<std::uint64_t> sec_len(nslots_, 0);
+    for (int q = 0; q < P; ++q) {
+      const auto& msg = msgs_[static_cast<std::size_t>(q)];
+      if (msg.size() < 8u * static_cast<std::size_t>(T))
+        throw util::parse_error("comm-compress: message shorter than its header");
+      std::uint64_t off = 8u * static_cast<std::size_t>(T);
+      for (int dt = 0; dt < T; ++dt) {
+        const std::uint64_t len = read_le(msg.data() + 8 * dt, 8);
+        if (len > msg.size() - off)
+          throw util::parse_error("comm-compress: section overruns message");
+        sec_off[static_cast<std::size_t>(q) * T + dt] = off;
+        sec_len[static_cast<std::size_t>(q) * T + dt] = len;
+        off += len;
       }
-      std::uint64_t msg_bytes = 0;
-      for (const auto& msg : msgs) msg_bytes += msg.size();
-      const obs::MemCharge msgs_mem("comm", msg_bytes);
-
-      // ---- Expand: size the T sort regions from the headers, validate
-      // and count every record, then decode at exact offsets in parallel.
-      // Region dt holds blocks ordered by src rank q ascending — the same
-      // (src rank, src thread, generation order) sequence the fixed-tuple
-      // engine delivers, so the stable sort sees equivalent input. ----
-      progress_phase(ctx, "Expand");
-      const double ex_t0 = span_begin(tr);
-      WallTimer ex_timer;
-      std::vector<std::uint64_t> sec_off(nslots, 0);
-      std::vector<std::uint64_t> sec_len(nslots, 0);
+      if (off != msg.size())
+        throw util::parse_error("comm-compress: trailing bytes after last section");
+    }
+    std::vector<std::uint64_t> block_count(nslots_, 0);
+    ctx_.team.run([&](int t) {
       for (int q = 0; q < P; ++q) {
-        const auto& msg = msgs[static_cast<std::size_t>(q)];
-        if (msg.size() < 8u * static_cast<std::size_t>(T))
-          throw util::parse_error("comm-compress: message shorter than its header");
-        std::uint64_t off = 8u * static_cast<std::size_t>(T);
-        for (int dt = 0; dt < T; ++dt) {
-          const std::uint64_t len = read_le(msg.data() + 8 * dt, 8);
-          if (len > msg.size() - off)
-            throw util::parse_error("comm-compress: section overruns message");
-          sec_off[static_cast<std::size_t>(q) * T + dt] = off;
-          sec_len[static_cast<std::size_t>(q) * T + dt] = len;
-          off += len;
-        }
-        if (off != msg.size())
-          throw util::parse_error("comm-compress: trailing bytes after last section");
+        const std::size_t idx = static_cast<std::size_t>(q) * T + t;
+        const std::byte* data = msgs_[static_cast<std::size_t>(q)].data() + sec_off[idx];
+        block_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
       }
-      std::vector<std::uint64_t> block_count(nslots, 0);
-      team.run([&](int t) {
-        for (int q = 0; q < P; ++q) {
-          const std::size_t idx = static_cast<std::size_t>(q) * T + t;
-          const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
-          block_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
-        }
-      });
-      std::vector<std::uint64_t> region_start(static_cast<std::size_t>(T) + 1, 0);
-      for (int dt = 0; dt < T; ++dt) {
-        std::uint64_t tot = 0;
-        for (int q = 0; q < P; ++q) tot += block_count[static_cast<std::size_t>(q) * T + dt];
-        region_start[static_cast<std::size_t>(dt) + 1] =
-            region_start[static_cast<std::size_t>(dt)] + tot;
-      }
-      std::vector<std::uint64_t> block_off(nslots, 0);
-      for (int dt = 0; dt < T; ++dt) {
-        std::uint64_t off = region_start[static_cast<std::size_t>(dt)];
-        for (int q = 0; q < P; ++q) {
-          block_off[static_cast<std::size_t>(q) * T + dt] = off;
-          off += block_count[static_cast<std::size_t>(q) * T + dt];
-        }
-      }
-      const std::uint64_t total_in = region_start[static_cast<std::size_t>(T)];
-      tuples.resize(total_in);
-      tuples.mem_account();
-      scratch.resize(total_in);
-      scratch.mem_account();
-      my.max_buffer_bytes =
-          std::max(my.max_buffer_bytes, tuples.bytes() + scratch.bytes() + msg_bytes);
-      team.run([&](int t) {
-        obs::TraceSession::set_thread_identity(p, t);
-        for (int q = 0; q < P; ++q) {
-          const std::size_t idx = static_cast<std::size_t>(q) * T + t;
-          const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
-          std::uint64_t at = block_off[idx];
-          kmer::SuperKmerReader reader(data, sec_len[idx], k);
-          while (!reader.done()) {
-            reader.next_header();
-            const std::uint32_t value = reader.value();
-            if (value >= R) throw util::parse_error("comm-compress: record value out of range");
-            if (!wide) {
-              reader.expand64([&](std::uint64_t km) {
-                tuples.keys[at] = km;
-                tuples.vals[at] = value;
-                ++at;
-              });
-            } else {
-              reader.expand128([&](kmer::Kmer128 km) {
-                tuples.keys[at] = km.lo;
-                tuples.keys_hi[at] = km.hi;
-                tuples.vals[at] = value;
-                ++at;
-              });
-            }
+    });
+    std::vector<std::uint64_t> block_off;
+    layout_regions(block_count, P, T, region_start_, block_off);
+    TupleBuffer& tuples = g.tuples[static_cast<std::size_t>(i)];
+    tuples = g.leases.acquire(region_start_[static_cast<std::size_t>(T)]);
+    g.leases.note_peak(msg_bytes);
+    ctx_.team.run([&](int t) {
+      obs::TraceSession::set_thread_identity(p, t);
+      for (int q = 0; q < P; ++q) {
+        const std::size_t idx = static_cast<std::size_t>(q) * T + t;
+        const std::byte* data = msgs_[static_cast<std::size_t>(q)].data() + sec_off[idx];
+        std::uint64_t at = block_off[idx];
+        kmer::SuperKmerReader reader(data, sec_len[idx], k);
+        while (!reader.done()) {
+          reader.next_header();
+          const std::uint32_t value = reader.value();
+          if (value >= R) throw util::parse_error("comm-compress: record value out of range");
+          auto put = [&](auto km) { put_tuple(tuples, at++, km, value); };
+          if (!wide) {
+            reader.expand64(put);
+          } else {
+            reader.expand128(put);
           }
         }
-      });
-      my.times.add("Expand", ex_timer.seconds());
-      span_end(tr, "Expand", ex_t0);
-      phase_boundary(ctx, "Expand");
+      }
+    });
+    ctx_.my.times.add("Expand", ex_timer.seconds());
+    span_end(ctx_.tr, "Expand", ex_t0);
+    for (auto& msg : msgs_) msg = std::vector<std::byte>();
+    phase_boundary(ctx_, "Expand");
+    return region_start_;
+  }
 
-      sort_and_union(ctx, tuples, scratch, region_start, /*sentinels=*/false);
-      ctx.m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
-      span_end(tr, "Pass", pass_t0[si]);
-    }
-  }  // pass groups
-}
+ private:
+  /// One thread's KmerGen work counts, written back once per sweep.
+  struct GenCounts {
+    std::uint64_t raw_kmers = 0;     ///< k-mers bound for another rank
+    std::uint64_t kmers = 0;
+    std::uint64_t records = 0;
+    std::uint64_t grow_events = 0;   ///< appends that reallocated a stream
+    std::uint64_t copied_bytes = 0;  ///< bytes those reallocations moved
+    std::uint64_t stream_bytes = 0;  ///< final size of this thread's streams
+    std::uint64_t stream_capacity = 0;
+  };
+
+  PassCtx& ctx_;
+  const std::vector<CompressPassGeom>& cplan_;
+  const std::size_t nslots_;
+  /// Per (pass-in-group, my thread, slot) byte streams; concatenated into
+  /// one message per (dest, pass) by post().
+  std::array<std::vector<std::vector<std::vector<std::byte>>>, 2> streams_;
+  std::vector<GenCounts> counts_;
+  std::optional<obs::MemCharge> streams_mem_;
+  std::array<std::vector<std::byte>, 2> self_msg_;
+  std::vector<std::vector<std::byte>> msgs_;  ///< the draining pass's messages, by src rank
+  std::vector<std::uint64_t> region_start_;
+  // Stream work counters: copied bytes far above stream bytes is the
+  // signature of a stream that regrows on every append.
+  obs::Counter& m_grow_ = obs::metrics().counter("comm.stream_grow_events");
+  obs::Counter& m_copied_ = obs::metrics().counter("comm.stream_copied_bytes");
+  obs::Counter& m_stream_ = obs::metrics().counter("comm.stream_bytes");
+};
 
 /// Dump the per-(src, dst) traffic matrices (--comm-matrix-out) as one JSON
 /// object: {"ranks": P, "skew": s, "bytes": [[..]], "msgs": [[..]]}.
@@ -1263,15 +1243,13 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   if (P < 1 || T < 1) throw util::config_error("run_metaprep: P and T must be >= 1");
   if (config.output_bins < 0 || config.output_bins > 0xFFFF)
     throw util::config_error("run_metaprep: output_bins must be in [0, 65535]");
+  // Both codecs route through a 16-bit bin -> (rank, thread) slot table.
+  if (static_cast<std::size_t>(P) * static_cast<std::size_t>(T) > 0xFFFF)
+    throw util::config_error("run_metaprep: P*T must fit the 16-bit slot table");
   const bool compress = config.comm_compress == CommCompress::kSuperKmer;
-  if (compress) {
-    if (static_cast<std::size_t>(P) * static_cast<std::size_t>(T) > 0xFFFF)
-      throw util::config_error("comm-compress: P*T must fit the 16-bit slot table");
-    if (config.superkmer_minimizer_len < 1 ||
-        config.superkmer_minimizer_len > std::min(k, 31))
-      throw util::config_error(
-          "comm-compress: superkmer_minimizer_len must be in [1, min(k, 31)]");
-  }
+  if (compress && (config.superkmer_minimizer_len < 1 ||
+                   config.superkmer_minimizer_len > std::min(k, 31)))
+    throw util::config_error("comm-compress: superkmer_minimizer_len must be in [1, min(k, 31)]");
   const bool wide = k > kmer::kMaxK64;
   const int tuple_bytes = wide ? 20 : 12;
   const std::uint32_t R = index.total_reads;
@@ -1395,11 +1373,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   obs::Counter& m_cc_edges = obs::metrics().counter("pipeline.cc_edges_total");
   obs::Gauge& m_rss = obs::metrics().gauge("mem.rss_peak");
   obs::Gauge& m_peak = obs::metrics().gauge("proc.peak_rss_bytes");
-  // Manual span markers for steps whose lifetime doesn't match a C++ scope.
-  auto span_begin = [&tr]() { return tr.enabled() ? tr.now_us() : -1.0; };
-  auto span_end = [&tr](const char* name, double t0) {
-    if (t0 >= 0.0) tr.record(name, t0, tr.now_us() - t0);
-  };
 
   // Label-slice geometry for the merge tail's scatter: rank q's chunks
   // cover the read-ID interval [sl_off[q], sl_off[q] + sl_len[q]).  Derived
@@ -1455,7 +1428,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     const int ingest_threads = std::clamp(
         static_cast<int>(std::thread::hardware_concurrency()), 1, P * T);
     WallTimer ingest_timer;
-    const double ingest_t0 = span_begin();
+    const double ingest_t0 = span_begin(tr);
     if (packed_is_temp) {
       packed_store = build_packed_store_in_memory(index, config.parse_mode,
                                                   ingest_threads, &packed_stats);
@@ -1464,7 +1437,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
                                         config.parse_mode, ingest_threads);
       packed_store = io::PackedStore::open(config.packed_store_path);
     }
-    span_end("PackedIngest", ingest_t0);
+    span_end(tr, "PackedIngest", ingest_t0);
     packed_ingest_s = ingest_timer.seconds();
   }
 
@@ -1482,9 +1455,11 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
                 p,      P,      T,      S,
                 k,      m,      wide};
     if (compress) {
-      run_passes_compressed(ctx, cplan);
+      SuperKmerCodec codec(ctx, cplan);
+      run_passes(ctx, codec);
     } else {
-      run_passes_fixed(ctx);
+      FixedTupleCodec codec(ctx);
+      run_passes(ctx, codec);
     }
 
     // ---- MergeCC (§3.6): combine rank-local component arrays. ----
@@ -1498,24 +1473,24 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
       int round = 0;
       for (int step = 1; step < P; step <<= 1, ++round) {
         if (p % (2 * step) == step) {
-          const double send_t0 = span_begin();
+          const double send_t0 = span_begin(tr);
           WallTimer send_timer;
           comm.send(p - step, kMergeTag + round, parents.data(),
                     parents.size() * sizeof(std::uint32_t));
           my.times.add("Merge-Comm", send_timer.seconds());
-          span_end("Merge-Comm", send_t0);
+          span_end(tr, "Merge-Comm", send_t0);
           my.merge_comm_bytes += parents.size() * sizeof(std::uint32_t);
           break;  // this rank is inactive in later rounds
         }
         if (p % (2 * step) == 0 && p + step < P) {
-          const double recv_t0 = span_begin();
+          const double recv_t0 = span_begin(tr);
           WallTimer recv_timer;
           std::vector<std::uint32_t> incoming(R);
           comm.recv(p + step, kMergeTag + round, incoming.data(),
                     incoming.size() * sizeof(std::uint32_t));
           my.times.add("Merge-Comm", recv_timer.seconds());
-          span_end("Merge-Comm", recv_t0);
-          const double merge_t0 = span_begin();
+          span_end(tr, "Merge-Comm", recv_t0);
+          const double merge_t0 = span_begin(tr);
           WallTimer merge_timer;
           // Each entry is an edge (i, p'[i]); union into the local forest.
           dsu::SerialDSU merged(std::move(parents));
@@ -1524,7 +1499,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
           }
           parents = merged.take_parents();
           my.times.add("MergeCC", merge_timer.seconds());
-          span_end("MergeCC", merge_t0);
+          span_end(tr, "MergeCC", merge_t0);
         }
       }
     } else if (P > 1) {
@@ -1533,7 +1508,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
       // graph — to rank 0 in a single round.
       constexpr int kContractTag = (1 << 20) + 4096;
       if (p != 0) {
-        const double send_t0 = span_begin();
+        const double send_t0 = span_begin(tr);
         WallTimer send_timer;
         std::vector<std::uint32_t> edges;
         for (std::uint32_t i = 0; i < R; ++i) {
@@ -1544,17 +1519,17 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
         }
         comm.send(0, kContractTag, edges.data(), edges.size() * sizeof(std::uint32_t));
         my.times.add("Merge-Comm", send_timer.seconds());
-        span_end("Merge-Comm", send_t0);
+        span_end(tr, "Merge-Comm", send_t0);
         my.merge_comm_bytes += edges.size() * sizeof(std::uint32_t);
       } else {
         dsu::SerialDSU merged(std::move(parents));
         for (int q = 1; q < P; ++q) {
-          const double recv_t0 = span_begin();
+          const double recv_t0 = span_begin(tr);
           WallTimer recv_timer;
           const auto payload = comm.recv_any_size(q, kContractTag);
           my.times.add("Merge-Comm", recv_timer.seconds());
-          span_end("Merge-Comm", recv_t0);
-          const double merge_t0 = span_begin();
+          span_end(tr, "Merge-Comm", recv_t0);
+          const double merge_t0 = span_begin(tr);
           WallTimer merge_timer;
           std::vector<std::uint32_t> edges(payload.size() / sizeof(std::uint32_t));
           std::memcpy(edges.data(), payload.data(), payload.size());
@@ -1562,7 +1537,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
             merged.unite(edges[i], edges[i + 1]);
           }
           my.times.add("MergeCC", merge_timer.seconds());
-          span_end("MergeCC", merge_t0);
+          span_end(tr, "MergeCC", merge_t0);
         }
         parents = merged.take_parents();
       }
@@ -1578,7 +1553,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     std::vector<std::uint32_t> top_roots(static_cast<std::size_t>(top_n), 0xFFFFFFFFu);
     part::RootSlotTable root_table;  // bin mode: root -> output bin
     if (p == 0) {
-      const double flatten_t0 = span_begin();
+      const double flatten_t0 = span_begin(tr);
       WallTimer flatten_timer;
       labels.assign(R, 0);
       dsu::AtomicDSU final_dsu{std::span<const std::uint32_t>(parents)};
@@ -1640,7 +1615,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
         root_table = part::make_root_slot_table(components_shared, bin_plan_shared);
       }
       my.times.add("MergeCC", flatten_timer.seconds());
-      span_end("MergeCC", flatten_t0);
+      span_end(tr, "MergeCC", flatten_t0);
     }
     std::vector<std::uint32_t> label_slice(slice_len[static_cast<std::size_t>(p)]);
     {

@@ -39,25 +39,38 @@ BufferPool& BufferPool::global() {
 
 template <typename T>
 std::vector<T> BufferPool::acquire_from(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
-                                        std::size_t n, T poison, bool* reused) {
+                                        std::size_t n, T poison, bool* changed) {
   const bool checked = check::enabled();
   // Best fit: smallest capacity that still holds n, so one oversized buffer
-  // is not burned on a tiny request.
+  // is not burned on a tiny request.  On a miss every held buffer is too
+  // small, and the largest of them is evicted before the fresh allocation:
+  // a request that outgrew the free list replaces a stale buffer instead of
+  // stacking a new one beside it.
   std::size_t best = list.size();
+  std::size_t largest = list.size();
   for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i].buf.capacity() < n) continue;
-    if (best == list.size() || list[i].buf.capacity() < list[best].buf.capacity()) best = i;
+    const std::size_t cap = list[i].buf.capacity();
+    if (largest == list.size() || cap > list[largest].buf.capacity()) largest = i;
+    if (cap < n) continue;
+    if (best == list.size() || cap < list[best].buf.capacity()) best = i;
   }
   std::vector<T> out;
   if (best == list.size()) {
-    out.assign(n, T{});  // miss: fresh allocation
+    if (largest != list.size()) {
+      FreeEntry<T> evicted = std::move(list[largest]);
+      list[largest] = std::move(list.back());
+      list.pop_back();
+      bytes_held_ -= evicted.buf.capacity() * sizeof(T);
+      *changed = true;
+    }  // the evicted storage is freed here, before the allocation below
+    out.assign(n, T{});
   } else {
     FreeEntry<T> entry = std::move(list[best]);
     list[best] = std::move(list.back());
     list.pop_back();
     bytes_held_ -= entry.buf.capacity() * sizeof(T);
     ++reuse_hits_;
-    *reused = true;
+    *changed = true;
     if (checked && entry.poisoned) {
       // Release filled size()==capacity() with poison; any break means a
       // caller wrote through a dangling handle while we held the storage.
@@ -121,10 +134,10 @@ std::vector<std::uint64_t> BufferPool::acquire_u64(std::size_t n) {
   std::vector<std::uint64_t> out;
   std::uint64_t bytes = 0;
   std::uint64_t hits = 0;
-  bool reused = false;
+  bool changed = false;
   {
     MutexLock lock(mutex_);
-    out = acquire_from(free64_, leases64_, n, kPoison64, &reused);
+    out = acquire_from(free64_, leases64_, n, kPoison64, &changed);
     bytes = bytes_held_;
     hits = reuse_hits_;
   }
@@ -132,7 +145,7 @@ std::vector<std::uint64_t> BufferPool::acquire_u64(std::size_t n) {
   // pipeline tags tuple leases with MemScope("tuples")); acquire and release
   // sites must agree on the tag for the charge to balance.
   obs::mem_charge(obs::MemScope::current("pool"), out.capacity() * sizeof(std::uint64_t));
-  if (reused) publish_gauges(bytes, hits);
+  if (changed) publish_gauges(bytes, hits);
   return out;
 }
 
@@ -140,15 +153,15 @@ std::vector<std::uint32_t> BufferPool::acquire_u32(std::size_t n) {
   std::vector<std::uint32_t> out;
   std::uint64_t bytes = 0;
   std::uint64_t hits = 0;
-  bool reused = false;
+  bool changed = false;
   {
     MutexLock lock(mutex_);
-    out = acquire_from(free32_, leases32_, n, kPoison32, &reused);
+    out = acquire_from(free32_, leases32_, n, kPoison32, &changed);
     bytes = bytes_held_;
     hits = reuse_hits_;
   }
   obs::mem_charge(obs::MemScope::current("pool"), out.capacity() * sizeof(std::uint32_t));
-  if (reused) publish_gauges(bytes, hits);
+  if (changed) publish_gauges(bytes, hits);
   return out;
 }
 

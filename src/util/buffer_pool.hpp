@@ -1,12 +1,15 @@
 // BufferPool: process-wide recycling of the large tuple-sized arrays.
 //
 // Every METAPREP pass allocates the same shapes over and over — per-pass
-// keys/keys_hi/vals arrays, send blocks, radix scratch — and in the
-// pipelined (overlap) schedule two passes' buffers are alive at once, so
-// freeing and reallocating them each pass costs page faults and zero-fill
-// on exactly the hottest boundary.  The pool keeps released vectors on a
-// free list and hands the largest fitting one back on the next acquire:
-// storage stays paged-in and warm across passes and across Worlds.
+// keys/keys_hi/vals arrays, send blocks, radix scratch — under either
+// exchange codec, and in the pipelined (overlap) schedule two passes'
+// buffers are alive at once, so freeing and reallocating them each pass
+// costs page faults and zero-fill on exactly the hottest boundary.  The
+// pool keeps released vectors on a free list and hands the smallest fitting
+// one back on the next acquire: storage stays paged-in and warm across
+// passes and across Worlds.  A miss (nothing held is large enough) frees
+// the largest held buffer before it allocates, so a request that outgrew
+// the free list replaces a stale buffer rather than piling up beside it.
 //
 // Ownership is move-based: acquire() transfers a vector to the caller,
 // release() transfers it back.  Nothing in the pool aliases caller memory,
@@ -43,7 +46,8 @@ namespace metaprep::util {
 
 class BufferPool {
  public:
-  /// The process-wide pool the pipeline's fixed-tuple pass engine leases from.
+  /// The process-wide pool the pipeline's pass engine leases from (both
+  /// exchange codecs).
   static BufferPool& global();
 
   BufferPool() = default;
@@ -52,7 +56,8 @@ class BufferPool {
 
   /// Acquire a vector with size() == n.  Element values are unspecified
   /// (recycled buffers keep stale contents); callers overwrite every slot —
-  /// the pipeline's precomputed-offset writes already guarantee that.
+  /// the pipeline's precomputed-offset writes already guarantee that.  A
+  /// miss evicts the largest held buffer of the same element type first.
   [[nodiscard]] std::vector<std::uint64_t> acquire_u64(std::size_t n);
   [[nodiscard]] std::vector<std::uint32_t> acquire_u32(std::size_t n);
 
@@ -91,7 +96,7 @@ class BufferPool {
 
   template <typename T>
   std::vector<T> acquire_from(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
-                              std::size_t n, T poison, bool* reused) REQUIRES(mutex_);
+                              std::size_t n, T poison, bool* changed) REQUIRES(mutex_);
   template <typename T>
   void release_into(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
                     std::vector<T>&& v, T poison) REQUIRES(mutex_);

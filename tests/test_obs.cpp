@@ -548,6 +548,33 @@ TEST(BufferPool, GaugePublishDoesNotInvertRegistryLockOrder) {
   EXPECT_EQ(pool.bytes_held(), 0u);
 }
 
+// A miss frees the largest held buffer before it allocates: a request that
+// outgrew the free list must not leave the too-small buffer held beside the
+// new one (that stale buffer is what kept a pass's footprint alive across
+// every later, larger pass).
+TEST(BufferPool, MissFreesTheStaleSmallerBuffer) {
+  util::BufferPool pool;
+  auto small = pool.acquire_u64(1024);
+  pool.release(std::move(small));
+  ASSERT_EQ(pool.buffers_held(), 1u);
+  ASSERT_EQ(pool.bytes_held(), 1024u * sizeof(std::uint64_t));
+
+  auto large = pool.acquire_u64(4096);
+  EXPECT_EQ(large.size(), 4096u);
+  EXPECT_EQ(pool.buffers_held(), 0u);
+  EXPECT_EQ(pool.bytes_held(), 0u);
+  EXPECT_EQ(pool.reuse_hits(), 0u);
+
+  pool.release(std::move(large));
+  EXPECT_EQ(pool.buffers_held(), 1u);
+  EXPECT_EQ(pool.bytes_held(), 4096u * sizeof(std::uint64_t));
+  // A fitting request is still served from the free list.
+  auto again = pool.acquire_u64(2048);
+  EXPECT_EQ(pool.reuse_hits(), 1u);
+  EXPECT_EQ(pool.buffers_held(), 0u);
+  pool.release(std::move(again));
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: pipeline run with trace_out / metrics_out (the acceptance
 // criterion: all eight paper step names, >= 10 distinct metric keys).

@@ -1,7 +1,8 @@
-// Safety net for the fixed-tuple pass engine: exact labels, not just
-// partitions, for the paper's barrier schedule; hand-drawn read layouts with
-// exact component membership for every exchange codec and group size; and
-// lenient-parse sentinel padding that must stay invisible to LocalCC.
+// Safety net for the pass engine: exact labels, not just partitions, for the
+// paper's barrier schedule; hand-drawn read layouts with exact component
+// membership for every exchange codec and group size; lenient-parse
+// sentinel padding that must stay invisible to LocalCC; and BufferPool
+// leases under both codecs.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -13,10 +14,12 @@
 #include <string_view>
 #include <vector>
 
+#include "check/check.hpp"
 #include "core/index_create.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/error.hpp"
 
 namespace metaprep::core {
@@ -270,6 +273,31 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, SentinelPaddingTest,
                            return std::string(info.param == PipelineMode::kBarrier ? "G1"
                                                                                    : "G2");
                          });
+
+// ---------------------------------------------------------------------------
+// Both codecs lease their sort buffers from config.buffer_pool.  In checked
+// mode every lease must come back, and later passes must recycle earlier
+// passes' storage.
+
+TEST(PassEnginePool, SuperKmerCodecLeasesFromTheConfigPool) {
+  GoldenFixture f;
+  util::BufferPool pool;
+  const int prev_check = check::exchange_thread_override(1);
+  MetaprepConfig cfg;
+  cfg.k = 15;
+  cfg.num_ranks = 2;
+  cfg.threads_per_rank = 2;
+  cfg.num_passes = 2;
+  cfg.comm_compress = CommCompress::kSuperKmer;
+  cfg.buffer_pool = &pool;
+  cfg.write_output = false;
+  const auto result = run_metaprep(f.index, cfg);
+  check::exchange_thread_override(prev_check);
+  EXPECT_EQ(pool.outstanding_leases(), 0u);
+  EXPECT_GT(pool.reuse_hits(), 0u);
+  EXPECT_EQ(test::normalize_partition(result.labels),
+            test::normalize_partition(reference_components(f.index, cfg.filter)));
+}
 
 // ---------------------------------------------------------------------------
 // --comm-compress accepts exactly the two codecs; the retired Bloom modes are

@@ -739,5 +739,43 @@ TEST(Pipeline, SuperKmerStreamCountersShowAmortizedGrowth) {
   EXPECT_LE(static_cast<double>(result.exchange_bytes), stream_bytes + headers);
 }
 
+TEST(Pipeline, KmerGenRecordsCountOneScanPerSweep) {
+  // Each KmerGen sweep hands every record to the codec once, and a run
+  // makes ceil(S/G) sweeps, so the counter exposes any codec that rescans.
+  Fixture fixture(15, 150);
+  std::uint64_t index_records = 0;
+  for (const ChunkRecord& chunk : fixture.index.part.chunks) index_records += chunk.record_count;
+  ASSERT_GT(index_records, 0u);
+  constexpr int kPasses = 3;
+  for (const CommCompress codec : {CommCompress::kNone, CommCompress::kSuperKmer}) {
+    for (const PipelineMode mode : {PipelineMode::kBarrier, PipelineMode::kOverlap}) {
+      for (const ReadStore store : {ReadStore::kText, ReadStore::kPacked}) {
+        auto cfg = base_config(15, fixture.dir.str());
+        cfg.num_ranks = 2;
+        cfg.threads_per_rank = 2;
+        cfg.num_passes = kPasses;
+        cfg.comm_compress = codec;
+        cfg.pipeline_mode = mode;
+        cfg.read_store = store;
+        cfg.parse_mode = io::ParseMode::kStrict;
+        cfg.metrics_out = fixture.dir.file("metrics.jsonl");
+        const int G = mode == PipelineMode::kOverlap ? 2 : 1;
+        SCOPED_TRACE(std::string(codec == CommCompress::kNone ? "none" : "superkmer") +
+                     " G" + std::to_string(G) +
+                     (store == ReadStore::kText ? " text" : " packed"));
+        (void)run_metaprep(fixture.index, cfg);
+        double records = -1.0;
+        for (const util::JsonValue& line : util::parse_jsonl_file(cfg.metrics_out)) {
+          if (line.string_or("type", "") == "counter" &&
+              line.at("name").as_string() == "pipeline.kmergen_records")
+            records = line.at("value").as_number();
+        }
+        const std::uint64_t sweeps = (kPasses + G - 1) / G;
+        EXPECT_EQ(records, static_cast<double>(sweeps * index_records));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace metaprep::core

@@ -254,52 +254,58 @@ TEST(Cancel, PreCancelledRunUnwindsTyped) {
 
 TEST(Cancel, MidPassOverlapRunReturnsAllLeases) {
   Fixture fx(400, 31);
-  util::BufferPool pool;  // private pool: lease accounting starts at zero
   // Checked mode tracks every lease and poison-scans on reuse; the thread
   // override propagates to the rank/worker threads via SessionContext.
   const int prev_check = check::exchange_thread_override(1);
-  ASSERT_EQ(pool.outstanding_leases(), 0u);
+  for (const core::CommCompress codec :
+       {core::CommCompress::kNone, core::CommCompress::kSuperKmer}) {
+    SCOPED_TRACE(codec == core::CommCompress::kNone ? "none" : "superkmer");
+    util::BufferPool pool;  // private pool: lease accounting starts at zero
+    ASSERT_EQ(pool.outstanding_leases(), 0u);
 
-  bool observed_cancel = false;
-  for (int attempt = 0; attempt < 12 && !observed_cancel; ++attempt) {
+    bool observed_cancel = false;
+    for (int attempt = 0; attempt < 12 && !observed_cancel; ++attempt) {
+      PipelineSession session;
+      core::MetaprepConfig cfg = fx.config();
+      cfg.num_ranks = 2;
+      cfg.threads_per_rank = 2;
+      cfg.num_passes = 4;
+      cfg.pipeline_mode = core::PipelineMode::kOverlap;
+      cfg.comm_compress = codec;
+      cfg.buffer_pool = &pool;
+      // Fire the token from a racing thread; a later attempt fires later so
+      // the cancel lands in different pipeline phases across attempts.
+      std::thread killer([&session, attempt] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200 * (attempt + 1)));
+        session.cancel();
+      });
+      try {
+        session.run(fx.index, cfg);
+      } catch (const util::Error& e) {
+        ASSERT_EQ(e.category(), util::ErrorCategory::kCancelled) << e.what();
+        observed_cancel = true;
+      }
+      killer.join();
+      // The hard invariant: cancelled or not, every lease came back.
+      EXPECT_EQ(pool.outstanding_leases(), 0u) << "attempt " << attempt;
+    }
+    EXPECT_TRUE(observed_cancel) << "no attempt observed a mid-run cancel";
+
+    // Poison-scan proof: a full checked run on the same pool reuses the
+    // cancelled run's buffers and the scan finds no tampering.
     PipelineSession session;
     core::MetaprepConfig cfg = fx.config();
     cfg.num_ranks = 2;
     cfg.threads_per_rank = 2;
-    cfg.num_passes = 4;
+    cfg.num_passes = 2;
     cfg.pipeline_mode = core::PipelineMode::kOverlap;
+    cfg.comm_compress = codec;
     cfg.buffer_pool = &pool;
-    // Fire the token from a racing thread; a later attempt fires later so
-    // the cancel lands in different pipeline phases across attempts.
-    std::thread killer([&session, attempt] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200 * (attempt + 1)));
-      session.cancel();
-    });
-    try {
-      session.run(fx.index, cfg);
-    } catch (const util::Error& e) {
-      ASSERT_EQ(e.category(), util::ErrorCategory::kCancelled) << e.what();
-      observed_cancel = true;
-    }
-    killer.join();
-    // The hard invariant: cancelled or not, every lease came back.
-    EXPECT_EQ(pool.outstanding_leases(), 0u) << "attempt " << attempt;
+    const auto result = session.run(fx.index, cfg);
+    EXPECT_EQ(pool.outstanding_leases(), 0u);
+    EXPECT_EQ(test::normalize_partition(result.labels),
+              test::normalize_partition(oracle(fx)));
   }
-  EXPECT_TRUE(observed_cancel) << "no attempt observed a mid-run cancel";
-
-  // Poison-scan proof: a full checked run on the same pool reuses the
-  // cancelled run's buffers and the scan finds no tampering.
-  PipelineSession session;
-  core::MetaprepConfig cfg = fx.config();
-  cfg.num_ranks = 2;
-  cfg.threads_per_rank = 2;
-  cfg.num_passes = 2;
-  cfg.pipeline_mode = core::PipelineMode::kOverlap;
-  cfg.buffer_pool = &pool;
-  const auto result = session.run(fx.index, cfg);
-  EXPECT_EQ(pool.outstanding_leases(), 0u);
-  EXPECT_EQ(test::normalize_partition(result.labels),
-            test::normalize_partition(oracle(fx)));
   check::exchange_thread_override(prev_check);
 }
 
