@@ -46,6 +46,7 @@ int main() {
         .num("threads", t)
         .num("wall_s", run.wall_seconds)
         .num("tuples", run.result.total_tuples)
+        .num("localsort_s", run.result.step_times.get("LocalSort"))
         .num("mergecc_s", run.result.step_times.get("MergeCC"))
         .num("merge_comm_s", run.result.step_times.get("Merge-Comm"))
         .num("ccio_s", run.result.step_times.get("CC-I/O"));
@@ -121,6 +122,7 @@ int main() {
         .num("threads", 4)
         .num("wall_s", mr.run.wall_seconds)
         .num("tuples", mr.run.result.total_tuples)
+        .num("localsort_s", mr.run.result.step_times.get("LocalSort"))
         .num("mergecc_s", mr.run.result.step_times.get("MergeCC"))
         .num("merge_comm_s", mr.run.result.step_times.get("Merge-Comm"))
         .num("ccio_s", mr.run.result.step_times.get("CC-I/O"))
@@ -164,6 +166,7 @@ int main() {
         .num("threads", 4)
         .num("wall_s", run.wall_seconds)
         .num("tuples", run.result.total_tuples)
+        .num("localsort_s", run.result.step_times.get("LocalSort"))
         .num("kmergen_io_s", run.result.step_times.get("KmerGen-I/O"))
         .num("kmergen_s", run.result.step_times.get("KmerGen"))
         .num("packed_ingest_s", run.result.packed_ingest_seconds)
@@ -210,6 +213,7 @@ int main() {
         .num("threads", T)
         .num("wall_s", run.wall_seconds)
         .num("tuples", r.total_tuples)
+        .num("localsort_s", r.step_times.get("LocalSort"))
         .num("alltoallv_bytes", r.exchange_bytes)
         .num("alltoallv_bytes_raw", r.exchange_bytes_raw)
         .num("superkmer_records", r.superkmer_records);
@@ -249,6 +253,7 @@ int main() {
         .num("passes", 2)
         .num("threads", 2)
         .num("wall_s", run.wall_seconds)
+        .num("localsort_s", run.result.step_times.get("LocalSort"))
         .num("mergecc_s", run.result.step_times.get("MergeCC"))
         .num("merge_comm_s", run.result.step_times.get("Merge-Comm"))
         .num("ccio_s", run.result.step_times.get("CC-I/O"))

@@ -5,7 +5,9 @@
 // Ross (78%); the NUMA-aware code requires 64-bit key AND payload, which we
 // model with the kv64x64 variant.  The paper also reports that 8-bit digits
 // beat 16-bit digits ("accessing bucket counts of 256 buckets repeatedly has
-// better temporal locality"), which the digit-width sweep reproduces.
+// better temporal locality"), which the digit-width sweep reproduces — for
+// the LSD and for the two-level sort LocalSort runs, whose in-bin digit is
+// the same knob (MetaprepConfig::sort_digit_bits).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -58,9 +60,39 @@ void BM_RadixKv64(benchmark::State& state) {
                  std::to_string(digit_bits));
 }
 BENCHMARK(BM_RadixKv64)
+    ->Args({1 << 18, 4})
     ->Args({1 << 18, 8})    // the paper's configuration
     ->Args({1 << 18, 11})
     ->Args({1 << 18, 16})   // the rejected wide-digit variant
+    ->Args({1 << 20, 8})
+    ->Args({1 << 20, 16})
+    ->Unit(benchmark::kMillisecond);
+
+// LocalSort's two-level sort on the same tuples: one bin scatter, then the
+// digit width applies to the in-bin MSD digit and in-cache LSD passes.
+void BM_TwoLevelKv64(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const int digit_bits = static_cast<int>(state.range(1));
+  const Data base = make_data(n);
+  std::vector<std::uint64_t> keys(n), tk(n);
+  std::vector<std::uint32_t> vals(n), tv(n);
+  for (auto _ : state) {
+    state.PauseTiming();
+    keys = base.keys;
+    vals = base.vals32;
+    state.ResumeTiming();
+    sort::two_level_sort_kv64(keys, vals, tk, tv, digit_bits);
+    benchmark::DoNotOptimize(keys.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
+  state.SetLabel("two-level bin sort (12B tuples), in-bin digit=" +
+                 std::to_string(digit_bits));
+}
+BENCHMARK(BM_TwoLevelKv64)
+    ->Args({1 << 18, 4})
+    ->Args({1 << 18, 8})
+    ->Args({1 << 18, 11})
+    ->Args({1 << 18, 16})
     ->Args({1 << 20, 8})
     ->Args({1 << 20, 16})
     ->Unit(benchmark::kMillisecond);

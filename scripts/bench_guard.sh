@@ -5,9 +5,10 @@
 # configuration, which filters scheduler noise), writes the distilled result
 # to BENCH_fig5.json at the repo root, and fails when:
 #
-#   * any configuration's min wall time regressed more than 10% (plus a
-#     small absolute slack for sub-millisecond rows) against the committed
-#     BENCH_fig5.json baseline, or
+#   * any configuration's min wall time, or its min LocalSort or merge/output
+#     tail phase time, regressed more than 10% (plus a small absolute slack
+#     for sub-millisecond rows) against the committed BENCH_fig5.json
+#     baseline, or
 #   * the pipelined scheduler stopped paying for itself: on the passes=2 A/B
 #     rows, overlap must report pool_reuse_hits > 0 (machine-independent) and
 #     must not be > 5% slower than barrier; the achieved wall margin is
@@ -75,9 +76,10 @@ tmp_json, baseline_path = sys.argv[1], sys.argv[2]
 update = os.environ.get("METAPREP_BENCH_UPDATE") == "1"
 
 # One JSON object per bench emit() per run; key rows by (mode, passes, threads).
-# Besides total wall, the merge/output tail phases (MergeCC flatten,
-# Merge-Comm label scatter, CC-I/O) are tracked min-of-N and gated too.
-PHASES = ("mergecc_s", "merge_comm_s", "ccio_s")
+# Besides total wall, LocalSort (the largest step on every shape) and the
+# merge/output tail phases (MergeCC flatten, Merge-Comm label scatter,
+# CC-I/O) are tracked min-of-N and gated too.
+PHASES = ("localsort_s", "mergecc_s", "merge_comm_s", "ccio_s")
 # Read-store axis extras: recorded min-of-N next to the walls, gated by the
 # packed invariants below (not by the 10% phase-regression rule).  The
 # derived read_path_s (sum of the three per row) is what the packed-vs-text

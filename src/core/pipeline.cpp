@@ -305,23 +305,23 @@ io::BufferParseStats scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool subs
 // LocalSort + LocalCC (§3.4-§3.5), shared by both codecs.  A codec
 // delivers one pass's tuples into T dest-thread regions
 // [region_start[t], region_start[t+1]), each ordered by (src rank, src
-// thread, generation order).  The radix sort is stable, so the sorted
+// thread, generation order).  Both sorts are stable, so the sorted
 // sequence — and with it every union LocalCC performs — depends only on
 // that order.
 // ---------------------------------------------------------------------------
 
-/// Stable radix sort of tuples[lo, hi), scratch[lo, hi) as the out-of-place
-/// buffer.
+/// Stable sort of tuples[lo, hi), scratch[lo, hi) as the out-of-place
+/// buffer: the two-level bin sort for k <= 32, the 128-bit LSD above.
 void sort_region(const PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
                  std::uint64_t lo, std::uint64_t hi) {
   const std::size_t n = hi - lo;
   if (n == 0) return;
   if (!ctx.wide) {
-    sort::radix_sort_kv64(std::span(tuples.keys).subspan(lo, n),
-                          std::span(tuples.vals).subspan(lo, n),
-                          std::span(scratch.keys).subspan(lo, n),
-                          std::span(scratch.vals).subspan(lo, n), 2 * ctx.k,
-                          ctx.config.sort_digit_bits);
+    sort::two_level_sort_kv64(std::span(tuples.keys).subspan(lo, n),
+                              std::span(tuples.vals).subspan(lo, n),
+                              std::span(scratch.keys).subspan(lo, n),
+                              std::span(scratch.vals).subspan(lo, n),
+                              ctx.config.sort_digit_bits);
   } else {
     sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(lo, n),
                            std::span(tuples.keys).subspan(lo, n),

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -16,6 +18,7 @@
 
 #include "check/check.hpp"
 #include "core/index_create.hpp"
+#include "obs/metrics.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
@@ -88,6 +91,82 @@ TEST(GoldenBarrier, TextStoreLabelsBitIdentical) {
 
 TEST(GoldenBarrier, PackedStoreLabelsBitIdentical) {
   EXPECT_EQ(golden_run_digest(ReadStore::kPacked), 0xe0a5c95e9e97476aULL);
+}
+
+// ---------------------------------------------------------------------------
+// Union-order pin.  LocalCC unions each run of equal k-mers in the order the
+// sort leaves its tuples.  Labels cannot show a reordering (every label is
+// its component's largest read ID), but the work LocalCC did can: the
+// Algorithm 1 iteration count follows the edge list, and the summed DSU
+// find path length (dsu.find_path_length) follows the exact sequence of
+// finds and links.  The values below were recorded with the stable LSD
+// LocalSort at P=2 T=1 S=2 — T=1 because two threads of one rank race on
+// the shared DSU, so at T=2 the edge count itself varies from run to run.
+// The lenient leg parses a copy whose records 5 and 40 lost their header
+// after indexing, so the fixed-tuple exchange pads the gaps with sentinel
+// tuples.
+
+/// Flip the header '@' of @p records to '#' in place (same byte length, so
+/// the index's chunk offsets stay valid).
+void mangle_headers_in_place(const std::string& path, std::initializer_list<std::size_t> records) {
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::size_t line = 0;
+  for (std::size_t pos = 0; pos < text.size(); ++line) {
+    for (const std::size_t rec : records) {
+      if (line == 4 * rec && text[pos] == '@') text[pos] = '#';
+    }
+    const std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) break;
+    pos = nl + 1;
+  }
+  std::ofstream(path, std::ios::binary) << text;
+}
+
+struct UnionOrder {
+  std::uint64_t cc_edges;
+  int cc_iterations_max;
+  std::uint64_t find_steps;
+  std::uint64_t records_skipped;
+};
+
+UnionOrder union_order_run(io::ParseMode parse, int threads) {
+  GoldenFixture f;
+  if (parse == io::ParseMode::kLenient) mangle_headers_in_place(f.index.files[0], {5, 40});
+  obs::metrics().set_enabled(true);
+  obs::Counter& edges = obs::metrics().counter("pipeline.cc_edges_total");
+  obs::Histogram& path = obs::metrics().histogram("dsu.find_path_length");
+  const std::uint64_t before = edges.value();
+  const std::uint64_t steps_before = path.sum();
+  MetaprepConfig cfg;
+  cfg.k = 15;
+  cfg.num_ranks = 2;
+  cfg.threads_per_rank = threads;
+  cfg.num_passes = 2;
+  cfg.parse_mode = parse;
+  cfg.write_output = false;
+  const auto result = run_metaprep(f.index, cfg);
+  return {edges.value() - before, result.cc_iterations_max, path.sum() - steps_before,
+          result.records_skipped};
+}
+
+TEST(UnionOrderPin, StrictMatchesStableLsdRecord) {
+  const UnionOrder u = union_order_run(io::ParseMode::kStrict, 1);
+  EXPECT_EQ(u.records_skipped, 0u);
+  EXPECT_EQ(u.cc_edges, 420u);
+  EXPECT_EQ(u.cc_iterations_max, 2);
+  EXPECT_EQ(u.find_steps, 21970u);
+}
+
+TEST(UnionOrderPin, LenientSentinelsMatchStableLsdRecord) {
+  const UnionOrder u = union_order_run(io::ParseMode::kLenient, 1);
+  EXPECT_EQ(u.records_skipped, 2u);
+  EXPECT_EQ(u.cc_edges, 420u);
+  EXPECT_EQ(u.cc_iterations_max, 2);
+  EXPECT_EQ(u.find_steps, 21785u);
 }
 
 // ---------------------------------------------------------------------------

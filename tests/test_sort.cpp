@@ -1,11 +1,15 @@
-// Tests for the LSD radix sorts (64-bit, 128-bit, 64x64 baseline).
+// Tests for the LSD radix sorts (64-bit, 128-bit, 64x64 baseline) and the
+// two-level LocalSort.
 #include "sort/radix.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace metaprep::sort {
@@ -199,6 +203,120 @@ TEST_P(RadixSort128Test, MatchesReferenceFor128BitKeys) {
 
 // 2k bits for k = 63 is 126; also test boundary and small widths.
 INSTANTIATE_TEST_SUITE_P(KeyWidths, RadixSort128Test, ::testing::Values(126, 128, 66, 70, 64));
+
+// ---------------------------------------------------------------------------
+// Two-level sort: keys *and* values bit-identical to the stable LSD.
+
+enum class KeyShape { kRandom, kDuplicated, kAllEqual, kSkewedBin };
+
+const char* shape_name(KeyShape s) {
+  switch (s) {
+    case KeyShape::kRandom: return "Random";
+    case KeyShape::kDuplicated: return "Dup20";
+    case KeyShape::kAllEqual: return "AllEqual";
+    case KeyShape::kSkewedBin: return "SkewedBin";
+  }
+  return "?";
+}
+
+/// n keys of @p key_bits bits: uniform; each of n/20 distinct keys repeated
+/// ~20x in random order; one key repeated n times; or 90% of the keys with
+/// their top half of bits clear, so one top-level bin holds most of the
+/// array (above the in-cache cap at the largest n).
+void make_shaped(std::size_t n, int key_bits, KeyShape shape, std::vector<std::uint64_t>& keys,
+                 std::vector<std::uint32_t>& vals, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const std::uint64_t mask = key_bits >= 64 ? ~0ULL : (1ULL << key_bits) - 1;
+  const std::uint64_t low_half = (1ULL << (key_bits / 2)) - 1;
+  std::vector<std::uint64_t> distinct(std::max<std::size_t>(1, n / 20));
+  for (auto& d : distinct) d = rng.next() & mask;
+  keys.resize(n);
+  vals.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case KeyShape::kRandom: keys[i] = rng.next() & mask; break;
+      case KeyShape::kDuplicated: keys[i] = distinct[rng.next() % distinct.size()]; break;
+      case KeyShape::kAllEqual: keys[i] = distinct[0]; break;
+      case KeyShape::kSkewedBin:
+        keys[i] = rng.next() % 10 == 0 ? rng.next() & mask : rng.next() & low_half;
+        break;
+    }
+    vals[i] = static_cast<std::uint32_t>(rng.next());
+  }
+}
+
+class TwoLevelSortTest
+    : public ::testing::TestWithParam<std::tuple<KeyShape, int, int>> {};
+
+TEST_P(TwoLevelSortTest, BitIdenticalToStableLsd) {
+  const auto [shape, key_bits, digit_bits] = GetParam();
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{24}, std::size_t{25},
+                              std::size_t{33}, (std::size_t{1} << 17) + 1}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<std::uint64_t> keys, ref_keys;
+    std::vector<std::uint32_t> vals, ref_vals;
+    make_shaped(n, key_bits, shape, keys, vals, 99 + n + static_cast<std::uint64_t>(key_bits));
+    ref_keys = keys;
+    ref_vals = vals;
+    std::vector<std::uint64_t> tk(n);
+    std::vector<std::uint32_t> tv(n);
+    radix_sort_kv64(ref_keys, ref_vals, tk, tv, key_bits, digit_bits);
+    two_level_sort_kv64(keys, vals, tk, tv, digit_bits);
+    ASSERT_EQ(keys, ref_keys);
+    ASSERT_EQ(vals, ref_vals);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TwoLevelSortTest,
+    ::testing::Combine(::testing::Values(KeyShape::kRandom, KeyShape::kDuplicated,
+                                         KeyShape::kAllEqual, KeyShape::kSkewedBin),
+                       ::testing::Values(2, 16, 38, 54, 64), ::testing::Values(4, 8, 11, 16)),
+    [](const ::testing::TestParamInfo<std::tuple<KeyShape, int, int>>& info) {
+      return std::string(shape_name(std::get<0>(info.param))) + "Key" +
+             std::to_string(std::get<1>(info.param)) + "Digit" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+TEST(TwoLevelSort, ThrowsOnBadArguments) {
+  std::vector<std::uint64_t> keys(4), tk(4);
+  std::vector<std::uint32_t> vals(4), tv(4), short_vals(3);
+  EXPECT_THROW(two_level_sort_kv64(keys, short_vals, tk, tv), std::invalid_argument);
+  EXPECT_THROW(two_level_sort_kv64(keys, vals, tk, tv, 0), std::invalid_argument);
+  EXPECT_THROW(two_level_sort_kv64(keys, vals, tk, tv, 17), std::invalid_argument);
+}
+
+// 4 M tuples that share their top 32 bits and have distinct low 22 bits, in
+// scrambled order, plus one tuple whose top bit differs: the top-level
+// scatter then splits on the outlier's bit and puts every other tuple into
+// one bin.  An in-bin sort without the cap (an insertion sort over that bin)
+// would be quadratic here; the bin must be rescattered instead.
+TEST(TwoLevelSort, SkewedBinIsRescatteredInLinearTime) {
+  constexpr std::size_t kLow = std::size_t{1} << 22;
+  constexpr std::uint64_t kTop = 0x2AAAAAULL << 32;
+  std::vector<std::uint64_t> keys(kLow + 1), tk(kLow + 1);
+  std::vector<std::uint32_t> vals(kLow + 1), tv(kLow + 1);
+  for (std::size_t i = 0; i < kLow; ++i) {
+    keys[i] = kTop | ((i * 2654435761ULL) & (kLow - 1));  // odd multiplier: a permutation
+    vals[i] = static_cast<std::uint32_t>(i);
+  }
+  keys[kLow] = 1ULL << 63;
+  vals[kLow] = static_cast<std::uint32_t>(kLow);
+
+  obs::metrics().set_enabled(true);
+  obs::Counter& rescattered = obs::metrics().counter("sort.rescattered_tuples");
+  const std::uint64_t before = rescattered.value();
+  two_level_sort_kv64(keys, vals, tk, tv, 8);
+  EXPECT_GE(rescattered.value() - before, kLow);
+  EXPECT_GE(obs::metrics().gauge("sort.max_bucket_tuples").value(), static_cast<double>(kLow));
+  obs::metrics().set_enabled(false);
+
+  for (std::size_t i = 0; i < kLow; ++i) {
+    ASSERT_EQ(keys[i], kTop | i) << i;
+    ASSERT_EQ(keys[i], kTop | ((vals[i] * 2654435761ULL) & (kLow - 1))) << i;
+  }
+  EXPECT_EQ(keys[kLow], 1ULL << 63);
+}
 
 }  // namespace
 }  // namespace metaprep::sort
