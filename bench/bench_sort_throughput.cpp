@@ -7,7 +7,7 @@
 // beat 16-bit digits ("accessing bucket counts of 256 buckets repeatedly has
 // better temporal locality"), which the digit-width sweep reproduces — for
 // the LSD and for the two-level sort LocalSort runs, whose in-bin digit is
-// the same knob (MetaprepConfig::sort_digit_bits).
+// the same parameter (LocalSort fixes it at 8).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

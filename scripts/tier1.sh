@@ -18,8 +18,11 @@
 #      grid), pass-engine and service-layer suites — the paths that do raw
 #      buffer arithmetic and deliberately corrupt / truncate input,
 #      including the super-k-mer wire decode, and cancelled runs that must
-#      return every lease.  A Release (-O3) build of every target follows, so the
-#      optimizer's extra diagnostics are held to the default -Werror too.
+#      return every lease — plus the pipeline's output, top-N, empty-input
+#      and merge-strategy tests, which index the scattered label slices and
+#      hand the root -> slot tables between the merge-tail steps.  A
+#      Release (-O3) build of every target follows, so the optimizer's
+#      extra diagnostics are held to the default -Werror too.
 #   4. metaprepd daemon smoke: start the job-queue daemon on an AF_UNIX
 #      socket, submit a job via `metaprep_cli daemon`, poll it to
 #      completion, fetch the partition manifest, cancel a queued job under
@@ -188,10 +191,10 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_pass_engine
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='CompressGrid/*'
 
-echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + compress legs + pass engine) ==="
+echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + compress legs + pass engine + merge tail) ==="
 cmake --preset asan
 cmake --build --preset asan "${JOBS}" --target test_faults test_fastq test_packed_store \
-  test_superkmer test_differential test_pass_engine test_serve
+  test_superkmer test_differential test_pass_engine test_serve test_pipeline
 
 echo "=== tier 1: ASan test_faults ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
@@ -206,6 +209,9 @@ ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
 echo "=== tier 1: ASan pass engine (both codecs, pooled leases) + service layer (cancelled runs) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_pass_engine
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_serve
+echo "=== tier 1: ASan merge/output tail (label slices, root -> slot tables, empty-input export) ==="
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_pipeline \
+  --gtest_filter='OutputTailPin.*:Pipeline.*Output*:Pipeline.TopN*:Pipeline.EmptyInput*:*MergeStrategy*'
 
 echo "=== tier 1: Release build (-O3, every target incl. tests and tools, default -Werror) ==="
 cmake --preset release

@@ -111,11 +111,6 @@ struct MetaprepConfig {
   /// enumerate (k-mer, component-ID) tuples instead of (k-mer, read-ID).
   bool cc_opt = true;
 
-  /// Radix digit width for LocalSort (§3.4).  The paper uses 8 ("sorting 8
-  /// bits per pass is faster than sorting a higher number of bits ... better
-  /// temporal locality"); exposed so the trade-off is measurable.
-  int sort_digit_bits = 8;
-
   /// Write partitioned FASTQ output (largest component vs the rest, §3.6).
   /// When false the pipeline stops after component labeling.
   bool write_output = true;

@@ -1,13 +1,10 @@
 #include "core/pipeline.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -141,13 +138,12 @@ constexpr std::uint32_t kInvalidRead = 0xFFFFFFFFu;
 
 struct RankShared {
   StepTimes times;
-  std::vector<std::string> output_files;
   int cc_iterations = 0;
   std::uint64_t tuples = 0;
   std::uint64_t max_buffer_bytes = 0;
   std::uint64_t merge_comm_bytes = 0;
-  std::vector<part::BinFile> bin_files;       ///< binned-output files this rank wrote
-  std::vector<std::uint16_t> bin_file_bins;   ///< bin of bin_files[i]
+  /// CC-I/O files each of this rank's threads wrote, with their output slot.
+  std::vector<std::vector<std::pair<part::BinFile, std::uint16_t>>> written;
   std::vector<obs::RssSample> rss_samples;    ///< rank 0 only: peak RSS per phase boundary
   std::uint64_t records_skipped = 0;  ///< distinct records lenient parsing dropped
                                       ///< (first KmerGen sweep over this rank's chunks)
@@ -167,16 +163,30 @@ struct PassCtx {
   ThreadTeam& team;
   dsu::AtomicDSU& local_cc;
   RankShared& my;
-  obs::TraceSession& tr;
-  obs::Counter& m_tuples;
-  obs::Counter& m_cc_edges;
-  obs::Gauge& m_rss;
-  obs::Gauge& m_peak;
   /// Non-null in --read-store=packed runs: the mmap'd 2-bit arena KmerGen
   /// scans instead of re-reading FASTQ text each pass.
   const io::PackedStore* packed;
-  int p, P, T, S, k, m;
-  bool wide;
+  int p, P, T, S;
+  int k = config.k, m = index.mer_hist.m;
+  bool wide = k > kmer::kMaxK64;
+  // The run session's sinks; hot-path handles are resolved once per rank
+  // (a registry lookup takes a mutex).
+  obs::TraceSession& tr = obs::TraceSession::current();
+  obs::Counter& m_tuples = obs::metrics().counter("pipeline.tuples_total");
+  obs::Counter& m_cc_edges = obs::metrics().counter("pipeline.cc_edges_total");
+  obs::Gauge& m_rss = obs::metrics().gauge("mem.rss_peak");
+  obs::Gauge& m_peak = obs::metrics().gauge("proc.peak_rss_bytes");
+};
+
+/// One step's wall on this rank: a trace span named after the step plus
+/// the matching StepTimes entry, both closed when the scope ends.
+class StepScope {
+ public:
+  StepScope(StepTimes& times, const char* step) : span_(step), timer_(times, step) {}
+
+ private:
+  obs::TraceSpan span_;
+  util::ScopedStepTimer timer_;
 };
 
 /// Manual span markers for steps whose lifetime doesn't match a C++ scope.
@@ -311,7 +321,10 @@ io::BufferParseStats scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool subs
 // ---------------------------------------------------------------------------
 
 /// Stable sort of tuples[lo, hi), scratch[lo, hi) as the out-of-place
-/// buffer: the two-level bin sort for k <= 32, the 128-bit LSD above.
+/// buffer: the two-level bin sort for k <= 32, the 128-bit LSD above, both
+/// with the paper's 8-bit digit (§3.4).
+constexpr int kSortDigitBits = 8;
+
 void sort_region(const PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
                  std::uint64_t lo, std::uint64_t hi) {
   const std::size_t n = hi - lo;
@@ -320,16 +333,14 @@ void sort_region(const PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
     sort::two_level_sort_kv64(std::span(tuples.keys).subspan(lo, n),
                               std::span(tuples.vals).subspan(lo, n),
                               std::span(scratch.keys).subspan(lo, n),
-                              std::span(scratch.vals).subspan(lo, n),
-                              ctx.config.sort_digit_bits);
+                              std::span(scratch.vals).subspan(lo, n), kSortDigitBits);
   } else {
     sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(lo, n),
                            std::span(tuples.keys).subspan(lo, n),
                            std::span(tuples.vals).subspan(lo, n),
                            std::span(scratch.keys_hi).subspan(lo, n),
                            std::span(scratch.keys).subspan(lo, n),
-                           std::span(scratch.vals).subspan(lo, n), 2 * ctx.k,
-                           ctx.config.sort_digit_bits);
+                           std::span(scratch.vals).subspan(lo, n), 2 * ctx.k, kSortDigitBits);
   }
 }
 
@@ -337,8 +348,10 @@ void sort_region(const PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
 /// frequency the filter accepts chains its reads into union-find edges.
 /// kSentinels: the region may hold kInvalidRead padding (lenient parsing in
 /// the fixed-tuple codec); each sentinel is skipped in both the run's
-/// frequency and its chain.  Returns the region's Algorithm 1 iteration
-/// count.
+/// frequency and its chain.  Adds to pipeline.cc_edges_total the links
+/// that joined two distinct roots, in the first sweep and in Algorithm 1's
+/// re-verify rounds, so the counter is the rank's component reduction at
+/// any T.  Returns the region's Algorithm 1 iteration count.
 template <bool kSentinels>
 int union_region(PassCtx& ctx, const TupleBuffer& tuples, std::uint64_t lo,
                  std::uint64_t hi) {
@@ -346,6 +359,7 @@ int union_region(PassCtx& ctx, const TupleBuffer& tuples, std::uint64_t lo,
   const KmerFreqFilter& filter = ctx.config.filter;
   const bool filtered = filter.enabled();
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  std::uint64_t links = 0;
   std::uint64_t i = lo;
   while (i < hi) {
     std::uint64_t j = i + 1;
@@ -379,7 +393,7 @@ int union_region(PassCtx& ctx, const TupleBuffer& tuples, std::uint64_t lo,
           const std::uint32_t ru = local_cc.find(u);
           const std::uint32_t rv = local_cc.find(v);
           if (ru != rv) {
-            local_cc.unite_once(ru, rv);
+            links += local_cc.unite_once(ru, rv) ? 1 : 0;
             edges.emplace_back(u, v);
           }
         }
@@ -388,8 +402,9 @@ int union_region(PassCtx& ctx, const TupleBuffer& tuples, std::uint64_t lo,
     }
     i = j;
   }
-  ctx.m_cc_edges.add(edges.size());
-  return 1 + dsu::process_edges_algorithm1(local_cc, edges);
+  const int iterations = 1 + dsu::process_edges_algorithm1(local_cc, edges, &links);
+  ctx.m_cc_edges.add(links);
+  return iterations;
 }
 
 /// LocalSort, then LocalCC, over the T dest-thread regions of one pass.
@@ -397,29 +412,26 @@ int union_region(PassCtx& ctx, const TupleBuffer& tuples, std::uint64_t lo,
 void sort_and_union(PassCtx& ctx, TupleBuffer& tuples, TupleBuffer& scratch,
                     std::span<const std::uint64_t> region_start, bool sentinels) {
   RankShared& my = ctx.my;
-  obs::TraceSession& tr = ctx.tr;
   auto lo = [&](int t) { return region_start[static_cast<std::size_t>(t)]; };
   auto hi = [&](int t) { return region_start[static_cast<std::size_t>(t) + 1]; };
 
   progress_phase(ctx, "LocalSort");
-  const double sort_t0 = span_begin(tr);
-  WallTimer sort_timer;
-  ctx.team.run([&](int t) { sort_region(ctx, tuples, scratch, lo(t), hi(t)); });
-  my.times.add("LocalSort", sort_timer.seconds());
-  span_end(tr, "LocalSort", sort_t0);
+  {
+    const StepScope step(my.times, "LocalSort");
+    ctx.team.run([&](int t) { sort_region(ctx, tuples, scratch, lo(t), hi(t)); });
+  }
   phase_boundary(ctx, "LocalSort");
 
   progress_phase(ctx, "LocalCC");
-  const double cc_t0 = span_begin(tr);
-  WallTimer cc_timer;
   std::vector<int> thread_iters(static_cast<std::size_t>(ctx.T), 0);
-  ctx.team.run([&](int t) {
-    thread_iters[static_cast<std::size_t>(t)] =
-        sentinels ? union_region<true>(ctx, tuples, lo(t), hi(t))
-                  : union_region<false>(ctx, tuples, lo(t), hi(t));
-  });
-  my.times.add("LocalCC", cc_timer.seconds());
-  span_end(tr, "LocalCC", cc_t0);
+  {
+    const StepScope step(my.times, "LocalCC");
+    ctx.team.run([&](int t) {
+      thread_iters[static_cast<std::size_t>(t)] =
+          sentinels ? union_region<true>(ctx, tuples, lo(t), hi(t))
+                    : union_region<false>(ctx, tuples, lo(t), hi(t));
+    });
+  }
   phase_boundary(ctx, "LocalCC");
   my.cc_iterations = std::max(my.cc_iterations,
                               *std::max_element(thread_iters.begin(), thread_iters.end()));
@@ -488,7 +500,7 @@ struct PassGroup {
 };
 
 template <typename Codec>
-void run_passes(PassCtx& ctx, Codec& codec) {
+void run_passes(PassCtx& ctx, Codec&& codec) {
   const MetaprepConfig& config = ctx.config;
   RankShared& my = ctx.my;
   obs::TraceSession& tr = ctx.tr;
@@ -543,10 +555,8 @@ void run_passes(PassCtx& ctx, Codec& codec) {
     // ---- KmerGen-Comm: post every pass's exchange. ----
     progress_phase(ctx, "KmerGen-Comm");
     for (int i = 0; i < g.npasses; ++i) {
-      obs::TraceSpan comm_span("KmerGen-Comm");
-      WallTimer comm_timer;
+      const StepScope step(my.times, "KmerGen-Comm");
       codec.post(g, i);
-      my.times.add("KmerGen-Comm", comm_timer.seconds());
     }
     phase_boundary(ctx, "KmerGen-Comm");
 
@@ -560,10 +570,8 @@ void run_passes(PassCtx& ctx, Codec& codec) {
       if (i == g.npasses - 1) span_end(tr, "Overlap-Window", window_t0);
       if (pass_t0[si] < 0.0) pass_t0[si] = span_begin(tr);
       if (ctx.P > 1) {
-        obs::TraceSpan wait_span("KmerGen-Comm");
-        WallTimer wait_timer;
+        const StepScope step(my.times, "KmerGen-Comm");
         codec.wait(g, i);
-        my.times.add("KmerGen-Comm", wait_timer.seconds());
       }
       const std::span<const std::uint64_t> regions = codec.deliver(g, i);
       g.scratch = leases.acquire(g.tuples[si].size());
@@ -1099,61 +1107,60 @@ class SuperKmerCodec {
     const obs::MemCharge msgs_mem("comm", msg_bytes);
 
     progress_phase(ctx_, "Expand");
-    const double ex_t0 = span_begin(ctx_.tr);
-    WallTimer ex_timer;
-    std::vector<std::uint64_t> sec_off(nslots_, 0);
-    std::vector<std::uint64_t> sec_len(nslots_, 0);
-    for (int q = 0; q < P; ++q) {
-      const auto& msg = msgs_[static_cast<std::size_t>(q)];
-      if (msg.size() < 8u * static_cast<std::size_t>(T))
-        throw util::parse_error("comm-compress: message shorter than its header");
-      std::uint64_t off = 8u * static_cast<std::size_t>(T);
-      for (int dt = 0; dt < T; ++dt) {
-        const std::uint64_t len = read_le(msg.data() + 8 * dt, 8);
-        if (len > msg.size() - off)
-          throw util::parse_error("comm-compress: section overruns message");
-        sec_off[static_cast<std::size_t>(q) * T + dt] = off;
-        sec_len[static_cast<std::size_t>(q) * T + dt] = len;
-        off += len;
-      }
-      if (off != msg.size())
-        throw util::parse_error("comm-compress: trailing bytes after last section");
-    }
-    std::vector<std::uint64_t> block_count(nslots_, 0);
-    ctx_.team.run([&](int t) {
-      for (int q = 0; q < P; ++q) {
-        const std::size_t idx = static_cast<std::size_t>(q) * T + t;
-        const std::byte* data = msgs_[static_cast<std::size_t>(q)].data() + sec_off[idx];
-        block_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
-      }
-    });
-    std::vector<std::uint64_t> block_off;
-    layout_regions(block_count, P, T, region_start_, block_off);
     TupleBuffer& tuples = g.tuples[static_cast<std::size_t>(i)];
-    tuples = g.leases.acquire(region_start_[static_cast<std::size_t>(T)]);
-    g.leases.note_peak(msg_bytes);
-    ctx_.team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
+    {
+      const StepScope step(ctx_.my.times, "Expand");
+      std::vector<std::uint64_t> sec_off(nslots_, 0);
+      std::vector<std::uint64_t> sec_len(nslots_, 0);
       for (int q = 0; q < P; ++q) {
-        const std::size_t idx = static_cast<std::size_t>(q) * T + t;
-        const std::byte* data = msgs_[static_cast<std::size_t>(q)].data() + sec_off[idx];
-        std::uint64_t at = block_off[idx];
-        kmer::SuperKmerReader reader(data, sec_len[idx], k);
-        while (!reader.done()) {
-          reader.next_header();
-          const std::uint32_t value = reader.value();
-          if (value >= R) throw util::parse_error("comm-compress: record value out of range");
-          auto put = [&](auto km) { put_tuple(tuples, at++, km, value); };
-          if (!wide) {
-            reader.expand64(put);
-          } else {
-            reader.expand128(put);
+        const auto& msg = msgs_[static_cast<std::size_t>(q)];
+        if (msg.size() < 8u * static_cast<std::size_t>(T))
+          throw util::parse_error("comm-compress: message shorter than its header");
+        std::uint64_t off = 8u * static_cast<std::size_t>(T);
+        for (int dt = 0; dt < T; ++dt) {
+          const std::uint64_t len = read_le(msg.data() + 8 * dt, 8);
+          if (len > msg.size() - off)
+            throw util::parse_error("comm-compress: section overruns message");
+          sec_off[static_cast<std::size_t>(q) * T + dt] = off;
+          sec_len[static_cast<std::size_t>(q) * T + dt] = len;
+          off += len;
+        }
+        if (off != msg.size())
+          throw util::parse_error("comm-compress: trailing bytes after last section");
+      }
+      std::vector<std::uint64_t> block_count(nslots_, 0);
+      ctx_.team.run([&](int t) {
+        for (int q = 0; q < P; ++q) {
+          const std::size_t idx = static_cast<std::size_t>(q) * T + t;
+          const std::byte* data = msgs_[static_cast<std::size_t>(q)].data() + sec_off[idx];
+          block_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
+        }
+      });
+      std::vector<std::uint64_t> block_off;
+      layout_regions(block_count, P, T, region_start_, block_off);
+      tuples = g.leases.acquire(region_start_[static_cast<std::size_t>(T)]);
+      g.leases.note_peak(msg_bytes);
+      ctx_.team.run([&](int t) {
+        obs::TraceSession::set_thread_identity(p, t);
+        for (int q = 0; q < P; ++q) {
+          const std::size_t idx = static_cast<std::size_t>(q) * T + t;
+          const std::byte* data = msgs_[static_cast<std::size_t>(q)].data() + sec_off[idx];
+          std::uint64_t at = block_off[idx];
+          kmer::SuperKmerReader reader(data, sec_len[idx], k);
+          while (!reader.done()) {
+            reader.next_header();
+            const std::uint32_t value = reader.value();
+            if (value >= R) throw util::parse_error("comm-compress: record value out of range");
+            auto put = [&](auto km) { put_tuple(tuples, at++, km, value); };
+            if (!wide) {
+              reader.expand64(put);
+            } else {
+              reader.expand128(put);
+            }
           }
         }
-      }
-    });
-    ctx_.my.times.add("Expand", ex_timer.seconds());
-    span_end(ctx_.tr, "Expand", ex_t0);
+      });
+    }
     for (auto& msg : msgs_) msg = std::vector<std::byte>();
     phase_boundary(ctx_, "Expand");
     return region_start_;
@@ -1223,16 +1230,18 @@ void write_comm_matrix(const std::string& path, int ranks,
     throw util::io_error("comm matrix: short write", path);
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// The driver's steps, in run order (DESIGN.md "Driver").
+// ---------------------------------------------------------------------------
 
-CommCompress parse_comm_compress(const std::string& name) {
-  if (name == "none") return CommCompress::kNone;
-  if (name == "superkmer") return CommCompress::kSuperKmer;
-  throw util::config_error("--comm-compress must be 'none' or 'superkmer' (got '" + name +
-                           "')");
-}
+/// Top-N list entry past the last component.
+constexpr std::uint32_t kNoRoot = 0xFFFFFFFFu;
 
-PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& config) {
+/// Component sizes PipelineResult::top_component_sizes reports.
+constexpr std::size_t kReportedSizes = 10;
+
+/// Reject a configuration the run cannot honour.
+void validate(const DatasetIndex& index, const MetaprepConfig& config) {
   const int k = config.k;
   if (k != index.k)
     throw util::config_error("run_metaprep: config.k differs from the index's k");
@@ -1243,146 +1252,52 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   if (P < 1 || T < 1) throw util::config_error("run_metaprep: P and T must be >= 1");
   if (config.output_bins < 0 || config.output_bins > 0xFFFF)
     throw util::config_error("run_metaprep: output_bins must be in [0, 65535]");
+  // CC-I/O routes through a 16-bit root -> slot table: N top slots + ".other".
+  if (config.output_top_components > 0xFFFE)
+    throw util::config_error("run_metaprep: output_top_components must be at most 65534");
   // Both codecs route through a 16-bit bin -> (rank, thread) slot table.
   if (static_cast<std::size_t>(P) * static_cast<std::size_t>(T) > 0xFFFF)
     throw util::config_error("run_metaprep: P*T must fit the 16-bit slot table");
-  const bool compress = config.comm_compress == CommCompress::kSuperKmer;
-  if (compress && (config.superkmer_minimizer_len < 1 ||
-                   config.superkmer_minimizer_len > std::min(k, 31)))
+  if (config.comm_compress == CommCompress::kSuperKmer &&
+      (config.superkmer_minimizer_len < 1 || config.superkmer_minimizer_len > std::min(k, 31)))
     throw util::config_error("comm-compress: superkmer_minimizer_len must be in [1, min(k, 31)]");
-  const bool wide = k > kmer::kMaxK64;
-  const int tuple_bytes = wide ? 20 : 12;
-  const std::uint32_t R = index.total_reads;
-  const int m = index.mer_hist.m;
+}
 
-  // Session plumbing: when the config names per-session observability
-  // instances, install them as this thread's overrides for the whole run.
-  // Everything below resolves sinks through obs::*::current(), and the
-  // overrides propagate to ThreadTeam workers and mpsim rank threads, so a
-  // null config keeps the historical global-singleton behaviour exactly.
-  util::SessionContext session_ctx = util::SessionContext::capture();
-  if (config.trace_session != nullptr) session_ctx.trace = config.trace_session;
-  if (config.metrics_registry != nullptr) session_ctx.metrics = config.metrics_registry;
-  if (config.mem_registry != nullptr) session_ctx.mem = config.mem_registry;
-  const util::ScopedSessionContext session_bind(session_ctx);
-
-  // Memory-model input, shared by pass derivation (S == 0) and the
-  // attribution report's predicted-vs-actual reconciliation.
+/// The run's memory-model input, with S derived from the budget when the
+/// config leaves it 0.
+MemoryModelInput memory_model_input(const DatasetIndex& index, const MetaprepConfig& config) {
   MemoryModelInput mm;
   mm.total_tuples = index.mer_hist.total();
-  mm.total_reads = R;
+  mm.total_reads = index.total_reads;
   mm.num_chunks = index.part.num_chunks();
   mm.max_chunk_bytes = index.max_chunk_bytes();
-  mm.m = m;
-  mm.num_ranks = P;
-  mm.threads_per_rank = T;
-  mm.tuple_bytes = tuple_bytes;
-
-  int S = config.num_passes;
-  if (S == 0) {
-    S = min_passes_for_budget(mm, config.memory_budget_bytes);
-    if (S == 0)
+  mm.m = index.mer_hist.m;
+  mm.num_ranks = config.num_ranks;
+  mm.threads_per_rank = config.threads_per_rank;
+  mm.tuple_bytes = config.k > kmer::kMaxK64 ? 20 : 12;
+  mm.num_passes = config.num_passes;
+  if (mm.num_passes == 0) {
+    mm.num_passes = min_passes_for_budget(mm, config.memory_budget_bytes);
+    if (mm.num_passes == 0)
       throw util::config_error("run_metaprep: memory budget too small for any pass count");
   }
-  mm.num_passes = S;
+  return mm;
+}
 
-  // Zero-component hardening: an empty dataset short-circuits to a fully
-  // formed empty result in either pipeline mode — no passes, no comm, no
-  // ghost ".other.fastq" files, no sentinel roots.
-  if (R == 0) {
-    PipelineResult result;
-    result.passes_used = S;
-    if (!config.metrics_out.empty()) {
-      obs::MetricsRegistry& mreg = obs::metrics();
-      const bool were_enabled = mreg.enabled();
-      mreg.reset_values();
-      mreg.set_enabled(true);
-      mreg.gauge("pipeline.passes").set(static_cast<double>(S));
-      mreg.gauge("pipeline.components").set(0.0);
-      mreg.write_jsonl(config.metrics_out);
-      mreg.set_enabled(were_enabled);
-    }
-    if (!config.trace_out.empty()) {
-      obs::TraceSession& trs = obs::TraceSession::current();
-      const bool was_enabled = trs.enabled();
-      trs.clear();
-      trs.write_chrome_json(config.trace_out);
-      if (!was_enabled) trs.disable();
-    }
-    if (!config.attr_out.empty()) {
-      obs::AttrReport empty;
-      empty.ranks = P;
-      empty.threads = T;
-      empty.passes = S;
-      empty.write_json(config.attr_out);
-    }
-    if (!config.comm_matrix_out.empty()) {
-      write_comm_matrix(config.comm_matrix_out, P,
-                        std::vector<std::uint64_t>(static_cast<std::size_t>(P) * P, 0),
-                        std::vector<std::uint64_t>(static_cast<std::size_t>(P) * P, 0), 0.0);
-    }
-    return result;
-  }
-
-  const PassPlan plan(index.mer_hist, S, P, T);
-  const ChunkAssignment ca(index.part.num_chunks(), P, T);
-
-  // Super-k-mer routing plan (minimizer-hash bins per pass and slot).
-  std::vector<CompressPassGeom> cplan;
-  if (compress) cplan = make_compress_plan(S, P, T);
-
-  // Observability: when the config names output files, this run owns its
-  // session's tracer/metrics (cleared + enabled here, exported after the
-  // run); with no session installed that is still the process globals.
-  // attr_out needs the span data, so it forces tracing like trace_out.
-  obs::TraceSession& tr = obs::TraceSession::current();
-  const bool trace_was_enabled = tr.enabled();
-  const bool want_trace = !config.trace_out.empty() || !config.attr_out.empty();
-  if (want_trace) {
-    tr.clear();
-    tr.enable();
-  }
-  const bool metrics_were_enabled = obs::metrics().enabled();
-  if (!config.metrics_out.empty()) {
-    obs::metrics().reset_values();
-    obs::metrics().set_enabled(true);
-  }
-  // Memory attribution rides with tracing: its subsystem high-water marks
-  // feed the same report, and its cost discipline is the same one-relaxed-
-  // load-when-off, so untraced runs are unaffected.
-  obs::MemRegistry& memreg = obs::MemRegistry::current();
-  const bool mem_was_enabled = memreg.enabled();
-  const bool traced_run = tr.enabled();
-  if (traced_run && !mem_was_enabled) {
-    memreg.reset();
-    memreg.set_enabled(true);
-  }
-  // --progress: one stderr line driven by the pipeline's phase boundaries.
-  // Total ticks = chunk reads per KmerGen sweep (one sweep per pass
-  // *group*) plus the CC-I/O sweep when output is on.
-  obs::Progress& prog = obs::Progress::global();
-  if (config.progress) {
-    const std::uint64_t nchunks = index.part.num_chunks();
-    const auto G = static_cast<std::uint64_t>(group_size(config));
-    const std::uint64_t sweeps = (static_cast<std::uint64_t>(S) + G - 1) / G;
-    prog.set_enabled(true);
-    prog.begin_run(nchunks * sweeps + (config.write_output ? nchunks : 0));
-  }
-  // Hot-path metric handles resolved once (registry lookup takes a mutex).
-  obs::Counter& m_tuples = obs::metrics().counter("pipeline.tuples_total");
-  obs::Counter& m_cc_edges = obs::metrics().counter("pipeline.cc_edges_total");
-  obs::Gauge& m_rss = obs::metrics().gauge("mem.rss_peak");
-  obs::Gauge& m_peak = obs::metrics().gauge("proc.peak_rss_bytes");
-
-  // Label-slice geometry for the merge tail's scatter: rank q's chunks
-  // cover the read-ID interval [sl_off[q], sl_off[q] + sl_len[q]).  Derived
-  // from the shared chunk table, so every rank computes identical slices.
-  // Paired-end libraries interleave the per-rank intervals (mates share one
-  // ID), which is why the slices may overlap and each rank's slice spans
-  // roughly 2R/P IDs instead of R/P.
-  std::vector<std::uint64_t> slice_off(static_cast<std::size_t>(P), 0);
-  std::vector<std::uint64_t> slice_len(static_cast<std::size_t>(P), 0);
-  {
+/// The run's shape and every table derived from the index before a rank
+/// starts.
+struct RunPlan {
+  RunPlan(const DatasetIndex& index, const MetaprepConfig& config)
+      : mm(memory_model_input(index, config)),
+        P(config.num_ranks),
+        T(config.threads_per_rank),
+        S(mm.num_passes),
+        R(index.total_reads),
+        passes(index.mer_hist, S, P, T),
+        ca(index.part.num_chunks(), P, T),
+        slice_off(static_cast<std::size_t>(P), 0),
+        slice_len(static_cast<std::size_t>(P), 0) {
+    if (config.comm_compress == CommCompress::kSuperKmer) cplan = make_compress_plan(S, P, T);
     for (int q = 0; q < P; ++q) {
       std::uint64_t lo = R;
       std::uint64_t hi = 0;
@@ -1398,412 +1313,459 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     }
   }
 
-  const bool bin_mode = config.output_bins >= 1;
-  mpsim::World world(P, config.cost_model);
-  std::vector<RankShared> shared(static_cast<std::size_t>(P));
-  std::vector<std::uint32_t> final_labels(R);
-  std::uint32_t largest_root_shared = 0;
-  std::vector<part::Component> components_shared;  // written by rank 0 only
-  part::BinPlan bin_plan_shared;                   // written by rank 0 only
+  MemoryModelInput mm;  ///< also feeds the attribution report
+  int P, T, S;
+  std::uint32_t R;
+  PassPlan passes;
+  ChunkAssignment ca;
+  std::vector<CompressPassGeom> cplan;  ///< super-k-mer routing (comm_compress only)
+  /// Label-slice geometry for the merge tail's scatter: rank q's chunks
+  /// cover the read-ID interval [slice_off[q], slice_off[q] + slice_len[q]).
+  /// Derived from the shared chunk table, so every rank computes identical
+  /// slices.  Paired-end libraries interleave the per-rank intervals (mates
+  /// share one ID), which is why the slices may overlap and each rank's
+  /// slice spans roughly 2R/P IDs instead of R/P.
+  std::vector<std::uint64_t> slice_off, slice_len;
+};
 
-  WallTimer run_timer;  // measured wall for the attribution report
-
-  // ---- PackedIngest (--read-store=packed): the run's single FASTQ parse.
-  // Every record lands 2-bit-packed in an arena; the KmerGen scans below
-  // walk the arena and the per-pass text re-parse disappears.  A named
-  // --packed-store arena is serialized and mmapped back (it outlives the
-  // run); an ephemeral arena stays in memory and never touches disk.  The
-  // ingest is deliberately inside the measured wall: packed mode must pay
-  // for its arena to claim a win over text mode.  The parse itself is
-  // sharded over the run's worker budget, capped at the machine's real
-  // core count — mpsim ranks oversubscribe cores by design, but for the
-  // ingest (pure local CPU work, no simulated communication) extra threads
-  // on a small host are pure overhead.  Shards merge deterministically, so
-  // the arena bytes never depend on the thread count. ----
-  io::PackedStore packed_store;
-  io::PackedStoreStats packed_stats{};
-  double packed_ingest_s = 0.0;
-  const bool packed_is_temp = config.packed_store_path.empty();
-  if (config.read_store == ReadStore::kPacked) {
-    const int ingest_threads = std::clamp(
-        static_cast<int>(std::thread::hardware_concurrency()), 1, P * T);
-    WallTimer ingest_timer;
-    const double ingest_t0 = span_begin(tr);
-    if (packed_is_temp) {
-      packed_store = build_packed_store_in_memory(index, config.parse_mode,
-                                                  ingest_threads, &packed_stats);
-    } else {
-      packed_stats = build_packed_store(index, config.packed_store_path,
-                                        config.parse_mode, ingest_threads);
-      packed_store = io::PackedStore::open(config.packed_store_path);
-    }
-    span_end(tr, "PackedIngest", ingest_t0);
-    packed_ingest_s = ingest_timer.seconds();
+/// Installs the config's session sinks for the whole run; every step
+/// resolves its sinks through obs::*::current(), and the overrides
+/// propagate to ThreadTeam workers and mpsim rank threads, so a config
+/// without a session keeps the process-global singletons.  When the config
+/// names output files the run owns that session's tracer and metrics
+/// (cleared and enabled here, written by export_artifacts).  attr_out
+/// needs the span data, so it forces tracing like trace_out.  Memory
+/// attribution rides with tracing: its subsystem high-water marks feed the
+/// same report, and its cost discipline is the same
+/// one-relaxed-load-when-off.  The destructor restores every flag the
+/// scope changed, on the error path too.
+struct ObsScope {
+  static util::SessionContext session_of(const MetaprepConfig& config) {
+    util::SessionContext ctx = util::SessionContext::capture();
+    if (config.trace_session != nullptr) ctx.trace = config.trace_session;
+    if (config.metrics_registry != nullptr) ctx.metrics = config.metrics_registry;
+    if (config.mem_registry != nullptr) ctx.mem = config.mem_registry;
+    return ctx;
   }
 
-  world.run([&](mpsim::Comm& comm) {
-    const int p = comm.rank();
-    obs::TraceSession::set_thread_identity(p, 0);
-    RankShared& my = shared[static_cast<std::size_t>(p)];
-    ThreadTeam team(T);
-    dsu::AtomicDSU local_cc(R);
-
-    PassCtx ctx{index,  config, plan,   ca,
-                comm,   team,   local_cc, my,
-                tr,     m_tuples, m_cc_edges, m_rss,
-                m_peak, packed_store.is_open() ? &packed_store : nullptr,
-                p,      P,      T,      S,
-                k,      m,      wide};
-    if (compress) {
-      SuperKmerCodec codec(ctx, cplan);
-      run_passes(ctx, codec);
-    } else {
-      FixedTupleCodec codec(ctx);
-      run_passes(ctx, codec);
+  ObsScope(const MetaprepConfig& run_config, const RunPlan& plan)
+      : config(run_config), session(session_of(run_config)) {
+    if (want_trace) {
+      tr.clear();
+      tr.enable();
     }
+    if (!config.metrics_out.empty()) {
+      metrics.reset_values();
+      metrics.set_enabled(true);
+    }
+    if (traced && !mem_was_enabled) {
+      mem.reset();
+      mem.set_enabled(true);
+    }
+    // --progress: one stderr line driven by the pipeline's phase boundaries.
+    // Total ticks = chunk reads per KmerGen sweep (one sweep per pass
+    // *group*) plus the CC-I/O sweep when output is on.
+    if (config.progress) {
+      const std::uint64_t nchunks = plan.mm.num_chunks;
+      const auto G = static_cast<std::uint64_t>(group_size(config));
+      const std::uint64_t sweeps = (static_cast<std::uint64_t>(plan.S) + G - 1) / G;
+      obs::Progress::global().set_enabled(true);
+      obs::Progress::global().begin_run(nchunks * sweeps + (config.write_output ? nchunks : 0));
+    }
+  }
+  ObsScope(const ObsScope&) = delete;
+  ObsScope& operator=(const ObsScope&) = delete;
+  ~ObsScope() {
+    if (config.progress) {
+      obs::Progress::global().finish();
+      obs::Progress::global().set_enabled(false);
+    }
+    if (!config.metrics_out.empty()) metrics.set_enabled(metrics_were_enabled);
+    if (want_trace && !trace_was_enabled) tr.disable();
+    if (traced && !mem_was_enabled) mem.set_enabled(false);
+  }
 
-    // ---- MergeCC (§3.6): combine rank-local component arrays. ----
-    util::throw_if_cancelled(config.cancel_token, "MergeCC");
-    progress_phase(ctx, "MergeCC");
-    std::vector<std::uint32_t> parents = local_cc.parents();
-    if (config.merge_strategy == MergeStrategy::kPairwiseTree) {
-      // The paper's method (Figure 4): pairwise merge over ceil(log P)
-      // rounds; rank 0 ends with the global components.
-      constexpr int kMergeTag = 1 << 20;
-      int round = 0;
-      for (int step = 1; step < P; step <<= 1, ++round) {
-        if (p % (2 * step) == step) {
-          const double send_t0 = span_begin(tr);
-          WallTimer send_timer;
-          comm.send(p - step, kMergeTag + round, parents.data(),
-                    parents.size() * sizeof(std::uint32_t));
-          my.times.add("Merge-Comm", send_timer.seconds());
-          span_end(tr, "Merge-Comm", send_t0);
-          my.merge_comm_bytes += parents.size() * sizeof(std::uint32_t);
-          break;  // this rank is inactive in later rounds
-        }
-        if (p % (2 * step) == 0 && p + step < P) {
-          const double recv_t0 = span_begin(tr);
-          WallTimer recv_timer;
-          std::vector<std::uint32_t> incoming(R);
+  const MetaprepConfig& config;
+  const util::ScopedSessionContext session;
+  obs::TraceSession& tr = obs::TraceSession::current();
+  obs::MetricsRegistry& metrics = obs::metrics();
+  obs::MemRegistry& mem = obs::MemRegistry::current();
+  const bool want_trace = !config.trace_out.empty() || !config.attr_out.empty();
+  const bool trace_was_enabled = tr.enabled();
+  const bool metrics_were_enabled = metrics.enabled();
+  const bool mem_was_enabled = mem.enabled();
+  const bool traced = want_trace || trace_was_enabled;
+};
+
+/// Rank 0's final components (flatten_and_rank), read by scatter_labels
+/// and by result assembly.
+struct Components {
+  std::vector<std::uint32_t> labels;     ///< root per read
+  std::vector<std::uint32_t> top_roots;  ///< N largest roots, kNoRoot-padded
+  std::uint64_t count = 0;
+  std::vector<std::uint64_t> top_sizes;  ///< up to kReportedSizes, descending
+  // Binned output (output_bins >= 1) only.
+  std::vector<part::Component> binned;
+  part::BinPlan bin_plan;
+  part::RootSlotTable root_table;        ///< root -> bin
+};
+
+/// What the ranks and PackedIngest leave for result assembly.
+struct RunState {
+  mpsim::World world;
+  std::vector<RankShared> ranks;
+  Components components{};   ///< written by rank 0
+  io::PackedStoreStats packed{};
+  StepTimes ingest_times{};  ///< PackedIngest (packed read store only)
+  double wall_s = 0.0;       ///< measured wall for the attribution report
+};
+
+/// PackedIngest (--read-store=packed): the run's single FASTQ parse.  Every
+/// record lands 2-bit-packed in an arena; the KmerGen scans walk the arena
+/// and the per-pass text re-parse disappears.  A named --packed-store arena
+/// is serialized and mmapped back (it outlives the run); an ephemeral arena
+/// stays in memory and never touches disk.  The ingest is deliberately
+/// inside the measured wall: packed mode must pay for its arena to claim a
+/// win over text mode.  The parse itself is sharded over the run's worker
+/// budget, capped at the machine's real core count — mpsim ranks
+/// oversubscribe cores by design, but for the ingest (pure local CPU work,
+/// no simulated communication) extra threads on a small host are pure
+/// overhead.  Shards merge deterministically, so the arena bytes never
+/// depend on the thread count.  Text runs get a closed store.
+io::PackedStore packed_ingest(const DatasetIndex& index, const MetaprepConfig& config,
+                              const RunPlan& plan, RunState& run) {
+  if (config.read_store != ReadStore::kPacked) return {};
+  const int threads =
+      std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1, plan.P * plan.T);
+  const StepScope step(run.ingest_times, "PackedIngest");
+  if (config.packed_store_path.empty())
+    return build_packed_store_in_memory(index, config.parse_mode, threads, &run.packed);
+  run.packed = build_packed_store(index, config.packed_store_path, config.parse_mode, threads);
+  return io::PackedStore::open(config.packed_store_path);
+}
+
+/// MergeCC (§3.6): combine the rank-local forests.  Rank 0 returns the
+/// merged global forest; what the other ranks return is unused.
+std::vector<std::uint32_t> merge_components(PassCtx& ctx) {
+  const int p = ctx.p, P = ctx.P;
+  const std::uint32_t R = ctx.index.total_reads;
+  StepTimes& times = ctx.my.times;
+  mpsim::Comm& comm = ctx.comm;
+  util::throw_if_cancelled(ctx.config.cancel_token, "MergeCC");
+  progress_phase(ctx, "MergeCC");
+  std::vector<std::uint32_t> parents = ctx.local_cc.parents();
+  if (ctx.config.merge_strategy == MergeStrategy::kPairwiseTree) {
+    // The paper's method (Figure 4): pairwise merge over ceil(log P)
+    // rounds; rank 0 ends with the global components.
+    constexpr int kMergeTag = 1 << 20;
+    int round = 0;
+    for (int step = 1; step < P; step <<= 1, ++round) {
+      if (p % (2 * step) == step) {
+        const StepScope comm_step(times, "Merge-Comm");
+        comm.send(p - step, kMergeTag + round, parents.data(),
+                  parents.size() * sizeof(std::uint32_t));
+        ctx.my.merge_comm_bytes += parents.size() * sizeof(std::uint32_t);
+        break;  // this rank is inactive in later rounds
+      }
+      if (p % (2 * step) == 0 && p + step < P) {
+        std::vector<std::uint32_t> incoming(R);
+        {
+          const StepScope comm_step(times, "Merge-Comm");
           comm.recv(p + step, kMergeTag + round, incoming.data(),
                     incoming.size() * sizeof(std::uint32_t));
-          my.times.add("Merge-Comm", recv_timer.seconds());
-          span_end(tr, "Merge-Comm", recv_t0);
-          const double merge_t0 = span_begin(tr);
-          WallTimer merge_timer;
-          // Each entry is an edge (i, p'[i]); union into the local forest.
-          dsu::SerialDSU merged(std::move(parents));
-          for (std::uint32_t i = 0; i < R; ++i) {
-            if (incoming[i] != i) merged.unite(i, incoming[i]);
-          }
-          parents = merged.take_parents();
-          my.times.add("MergeCC", merge_timer.seconds());
-          span_end(tr, "MergeCC", merge_t0);
         }
-      }
-    } else if (P > 1) {
-      // Contraction (§5 future work, after Iverson et al.): ship only the
-      // non-trivial (vertex, parent) pairs — the contracted component
-      // graph — to rank 0 in a single round.
-      constexpr int kContractTag = (1 << 20) + 4096;
-      if (p != 0) {
-        const double send_t0 = span_begin(tr);
-        WallTimer send_timer;
-        std::vector<std::uint32_t> edges;
-        for (std::uint32_t i = 0; i < R; ++i) {
-          if (parents[i] != i) {
-            edges.push_back(i);
-            edges.push_back(parents[i]);
-          }
-        }
-        comm.send(0, kContractTag, edges.data(), edges.size() * sizeof(std::uint32_t));
-        my.times.add("Merge-Comm", send_timer.seconds());
-        span_end(tr, "Merge-Comm", send_t0);
-        my.merge_comm_bytes += edges.size() * sizeof(std::uint32_t);
-      } else {
+        const StepScope merge_step(times, "MergeCC");
+        // Each entry is an edge (i, p'[i]); union into the local forest.
         dsu::SerialDSU merged(std::move(parents));
-        for (int q = 1; q < P; ++q) {
-          const double recv_t0 = span_begin(tr);
-          WallTimer recv_timer;
-          const auto payload = comm.recv_any_size(q, kContractTag);
-          my.times.add("Merge-Comm", recv_timer.seconds());
-          span_end(tr, "Merge-Comm", recv_t0);
-          const double merge_t0 = span_begin(tr);
-          WallTimer merge_timer;
-          std::vector<std::uint32_t> edges(payload.size() / sizeof(std::uint32_t));
-          std::memcpy(edges.data(), payload.data(), payload.size());
-          for (std::size_t i = 0; i + 1 < edges.size(); i += 2) {
-            merged.unite(edges[i], edges[i + 1]);
-          }
-          my.times.add("MergeCC", merge_timer.seconds());
-          span_end(tr, "MergeCC", merge_t0);
+        for (std::uint32_t i = 0; i < R; ++i) {
+          if (incoming[i] != i) merged.unite(i, incoming[i]);
         }
         parents = merged.take_parents();
       }
     }
-
-    // Rank 0 flattens labels and ranks component sizes across the thread
-    // team; each rank then receives only the label slice covering its own
-    // chunk ranges plus compact component tables — the scaled form of "The
-    // global components list in Rank 0 is broadcast to all other tasks"
-    // (§3.6) that ships O(R/P + #components) per rank instead of O(R).
-    const int top_n = std::max(1, config.output_top_components);
-    std::vector<std::uint32_t> labels;  // full array lives on rank 0 only
-    std::vector<std::uint32_t> top_roots(static_cast<std::size_t>(top_n), 0xFFFFFFFFu);
-    part::RootSlotTable root_table;  // bin mode: root -> output bin
-    if (p == 0) {
-      const double flatten_t0 = span_begin(tr);
-      WallTimer flatten_timer;
-      labels.assign(R, 0);
-      dsu::AtomicDSU final_dsu{std::span<const std::uint32_t>(parents)};
-      std::vector<std::uint32_t> sizes(R, 0);
-      const auto id_bounds = util::split_range(R, T);
-      // Parallel find with path splitting; per-thread counts land directly
-      // in the global size array via atomic increments, and the thread that
-      // first touches a root claims it for the (deterministic-set) root
-      // list — no O(R) post-scan, no O(R*T) per-thread arrays.
-      std::vector<std::vector<std::uint32_t>> thread_roots(static_cast<std::size_t>(T));
-      team.run([&](int t) {
-        auto& my_roots = thread_roots[static_cast<std::size_t>(t)];
-        for (std::size_t i = id_bounds[static_cast<std::size_t>(t)];
-             i < id_bounds[static_cast<std::size_t>(t) + 1]; ++i) {
-          const std::uint32_t root = final_dsu.find(static_cast<std::uint32_t>(i));
-          labels[i] = root;
-          const std::uint32_t prev =
-              std::atomic_ref<std::uint32_t>(sizes[root])
-                  .fetch_add(1, std::memory_order_relaxed);
-          if (prev == 0) my_roots.push_back(root);
+  } else if (P > 1) {
+    // Contraction (§5 future work, after Iverson et al.): ship only the
+    // non-trivial (vertex, parent) pairs — the contracted component
+    // graph — to rank 0 in a single round.
+    constexpr int kContractTag = (1 << 20) + 4096;
+    if (p != 0) {
+      const StepScope comm_step(times, "Merge-Comm");
+      std::vector<std::uint32_t> edges;
+      for (std::uint32_t i = 0; i < R; ++i) {
+        if (parents[i] != i) {
+          edges.push_back(i);
+          edges.push_back(parents[i]);
         }
-      });
-      std::vector<std::uint32_t> roots;
-      for (auto& tr_roots : thread_roots) {
-        roots.insert(roots.end(), tr_roots.begin(), tr_roots.end());
       }
-      if (check::enabled()) {
-        // The merged forest must still be a forest (union-by-index promises
-        // acyclicity even under the CAS races of LocalCC), and the per-root
-        // size counts must conserve the read count: every read labeled once.
-        check::verify_parent_forest(parents, "MergeCC merged forest (rank 0)");
-        std::uint64_t labeled = 0;
-        for (std::uint32_t root : roots) labeled += sizes[root];
-        check::verify_size_conservation(labeled, R, "MergeCC flatten component sizes");
-      }
-      // Top-N roots by component size (N is small; partial selection).
-      const auto take = std::min<std::size_t>(static_cast<std::size_t>(top_n), roots.size());
-      std::partial_sort(roots.begin(), roots.begin() + static_cast<std::ptrdiff_t>(take),
-                        roots.end(), [&](std::uint32_t a, std::uint32_t b) {
-                          return sizes[a] != sizes[b] ? sizes[a] > sizes[b] : a < b;
-                        });
-      for (std::size_t i = 0; i < take; ++i) top_roots[i] = roots[i];
-      final_labels = labels;
-      largest_root_shared = top_roots[0];
-      if (bin_mode) {
-        // Component weights in estimated bp: reads * mean bases per read
-        // (per-read lengths are not in the index; DESIGN.md documents the
-        // proxy).  128-bit intermediate so huge datasets cannot overflow.
-        components_shared.reserve(roots.size());
-        for (std::uint32_t root : roots) {
-          part::Component comp;
-          comp.root = root;
-          comp.reads = sizes[root];
-          comp.weight_bp = static_cast<std::uint64_t>(
-              static_cast<unsigned __int128>(sizes[root]) * index.total_bases / R);
-          components_shared.push_back(comp);
+      comm.send(0, kContractTag, edges.data(), edges.size() * sizeof(std::uint32_t));
+      ctx.my.merge_comm_bytes += edges.size() * sizeof(std::uint32_t);
+    } else {
+      dsu::SerialDSU merged(std::move(parents));
+      for (int q = 1; q < P; ++q) {
+        std::vector<std::byte> payload;
+        {
+          const StepScope comm_step(times, "Merge-Comm");
+          payload = comm.recv_any_size(q, kContractTag);
         }
-        bin_plan_shared = part::greedy_bin_pack(components_shared, config.output_bins);
-        root_table = part::make_root_slot_table(components_shared, bin_plan_shared);
+        const StepScope merge_step(times, "MergeCC");
+        std::vector<std::uint32_t> edges(payload.size() / sizeof(std::uint32_t));
+        std::memcpy(edges.data(), payload.data(), payload.size());
+        for (std::size_t i = 0; i + 1 < edges.size(); i += 2) {
+          merged.unite(edges[i], edges[i + 1]);
+        }
       }
-      my.times.add("MergeCC", flatten_timer.seconds());
-      span_end(tr, "MergeCC", flatten_t0);
+      parents = merged.take_parents();
     }
-    std::vector<std::uint32_t> label_slice(slice_len[static_cast<std::size_t>(p)]);
-    {
-      obs::TraceSpan bc_span("Merge-Comm");
-      WallTimer bc_timer;
-      // Label scatter: every rank gets the slice its CC-I/O chunks index,
-      // byte geometry shared via the chunk table (see slice_off above).
-      std::vector<std::uint64_t> byte_off(static_cast<std::size_t>(P));
-      std::vector<std::uint64_t> byte_len(static_cast<std::size_t>(P));
-      for (int q = 0; q < P; ++q) {
-        byte_off[static_cast<std::size_t>(q)] = slice_off[static_cast<std::size_t>(q)] * 4;
-        byte_len[static_cast<std::size_t>(q)] = slice_len[static_cast<std::size_t>(q)] * 4;
-      }
-      comm.scatterv(labels.data(), byte_off, byte_len, label_slice.data(), 0);
-      comm.broadcast(top_roots.data(), top_roots.size() * sizeof(std::uint32_t), 0);
-      if (bin_mode && P > 1) {
-        // Compact root -> bin table: O(#components), not O(R).
-        std::uint64_t ncomp = root_table.roots.size();
-        comm.broadcast(&ncomp, sizeof(ncomp), 0);
-        if (p != 0) {
-          root_table.roots.resize(ncomp);
-          root_table.slots.resize(ncomp);
-        }
-        if (ncomp > 0) {
-          comm.broadcast(root_table.roots.data(), ncomp * sizeof(std::uint32_t), 0);
-          comm.broadcast(root_table.slots.data(), ncomp * sizeof(std::uint16_t), 0);
-        }
-      }
-      if (p != 0) my.times.add("Merge-Comm", bc_timer.seconds());
-    }
-    phase_boundary(ctx, "MergeCC");
+  }
+  return parents;
+}
 
-    // ---- CC-I/O (§3.6): each thread extracts reads from its FASTQ chunks
-    // and writes them to per-thread output files.  Labels come from the
-    // scattered slice, indexed relative to this rank's slice offset. ----
-    if (config.write_output) {
-      progress_phase(ctx, "CC-I/O");
-      obs::TraceSpan io_span("CC-I/O");
-      WallTimer io_timer;
-      const std::uint64_t my_slice_off = slice_off[static_cast<std::size_t>(p)];
-      std::vector<std::vector<std::string>> thread_files(static_cast<std::size_t>(T));
-      std::vector<std::vector<part::BinFile>> thread_bin_files(static_cast<std::size_t>(T));
-      std::vector<std::vector<std::uint16_t>> thread_bin_of(static_cast<std::size_t>(T));
-      team.run([&](int t) {
-        if (ca.thread_begin(p, t) >= ca.thread_end(p, t)) return;
-        const std::string base = config.output_dir + "/" + index.name + ".p" +
-                                 std::to_string(p) + ".t" + std::to_string(t);
-        std::vector<std::string> names;
-        std::vector<std::unique_ptr<io::FastqWriter>> writers;
-        std::vector<std::uint64_t> writer_records;
-        std::vector<std::uint16_t> writer_bin;
-        std::size_t other_slot = 0;
-        // Bin mode: one lazily-opened writer per output bin this thread
-        // actually touches (no ghost files for bins with no local reads).
-        // kNoSlot maps bin index -> writer index.
-        std::vector<std::size_t> bin_writer;
-        if (bin_mode) {
-          bin_writer.assign(static_cast<std::size_t>(config.output_bins),
-                            static_cast<std::size_t>(-1));
-        } else {
-          // Legacy split: one writer per top component plus the remainder.
-          // N == 1 keeps the paper's ".lc"/".other" naming.
-          for (int j = 0; j < top_n; ++j) {
-            if (top_roots[static_cast<std::size_t>(j)] == 0xFFFFFFFFu) break;
-            names.push_back(base + (top_n == 1 ? ".lc" : ".c" + std::to_string(j)) + ".fastq");
-            writers.push_back(std::make_unique<io::FastqWriter>(names.back()));
-          }
-          names.push_back(base + ".other.fastq");
-          writers.push_back(std::make_unique<io::FastqWriter>(names.back()));
-          other_slot = writers.size() - 1;
-        }
-
-        auto legacy_slot_of = [&](std::uint32_t root) -> std::size_t {
-          for (std::size_t j = 0; j < other_slot; ++j) {
-            if (top_roots[j] == root) return j;
-          }
-          return other_slot;
-        };
-        auto bin_writer_of = [&](std::uint32_t root) -> std::size_t {
-          const std::uint16_t bin = root_table.slot_of(root);
-          auto& w = bin_writer[bin];
-          if (w == static_cast<std::size_t>(-1)) {
-            names.push_back(base + ".b" + std::to_string(bin) + ".fastq");
-            writers.push_back(std::make_unique<io::FastqWriter>(names.back()));
-            writer_records.push_back(0);
-            writer_bin.push_back(bin);
-            w = writers.size() - 1;
-          }
-          return w;
-        };
-
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          util::throw_if_cancelled(config.cancel_token, "CC-I/O chunk");
-          const ChunkRecord& chunk = index.part.chunks[c];
-          const auto buffer =
-              io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-          const obs::MemCharge io_mem("io", buffer.size());
-          std::uint32_t read_id = chunk.first_read_id;
-          io::ParseOptions popt{config.parse_mode, index.files[chunk.file], chunk.offset,
-                                [&read_id] { ++read_id; }};
-          io::for_each_record_in_buffer(
-              std::string_view(buffer.data(), buffer.size()),
-              [&](std::string_view id, std::string_view seq, std::string_view qual) {
-                const std::uint32_t root = label_slice[read_id - my_slice_off];
-                if (bin_mode) {
-                  const std::size_t w = bin_writer_of(root);
-                  writers[w]->write(id, seq, qual);
-                  ++writer_records[w];
-                } else {
-                  writers[legacy_slot_of(root)]->write(id, seq, qual);
-                }
-                ++read_id;
-              },
-              popt);
-          obs::Progress::global().chunk_done();
-        }
-        // Explicit close so a failed flush (e.g. ENOSPC) surfaces as a typed
-        // Error instead of being swallowed by the destructor.
-        for (auto& w : writers) w->close();
-        writers.clear();
-        if (bin_mode) {
-          auto& bf = thread_bin_files[static_cast<std::size_t>(t)];
-          for (std::size_t j = 0; j < names.size(); ++j) {
-            bf.push_back(part::BinFile{names[j], writer_records[j]});
-          }
-          thread_bin_of[static_cast<std::size_t>(t)] = std::move(writer_bin);
-        }
-        thread_files[static_cast<std::size_t>(t)] = std::move(names);
-      });
-      for (auto& files : thread_files) {
-        for (auto& f : files) my.output_files.push_back(std::move(f));
-      }
-      for (int t = 0; t < T; ++t) {
-        auto& bf = thread_bin_files[static_cast<std::size_t>(t)];
-        auto& bb = thread_bin_of[static_cast<std::size_t>(t)];
-        for (std::size_t j = 0; j < bf.size(); ++j) {
-          my.bin_files.push_back(std::move(bf[j]));
-          my.bin_file_bins.push_back(bb[j]);
-        }
-      }
-      my.times.add("CC-I/O", io_timer.seconds());
-      phase_boundary(ctx, "CC-I/O");
+/// Rank 0 flattens labels and ranks component sizes across the thread
+/// team; this is the run's only component count.  The labels overwrite
+/// the merged parent array once the DSU has adopted a copy of it.
+void flatten_and_rank(PassCtx& ctx, std::vector<std::uint32_t> parents, Components& cc) {
+  const StepScope step(ctx.my.times, "MergeCC");
+  const std::uint32_t R = ctx.index.total_reads;
+  // The merged forest must still be a forest: union-by-index promises
+  // acyclicity even under the CAS races of LocalCC.
+  if (check::enabled()) check::verify_parent_forest(parents, "MergeCC merged forest (rank 0)");
+  dsu::AtomicDSU final_dsu{std::span<const std::uint32_t>(parents)};
+  std::vector<std::uint32_t>& labels = cc.labels = std::move(parents);
+  std::vector<std::uint32_t> sizes(R, 0);
+  const auto id_bounds = util::split_range(R, ctx.T);
+  // Parallel find with path splitting; per-thread counts land directly
+  // in the global size array via atomic increments, and the thread that
+  // first touches a root claims it for the (deterministic-set) root
+  // list — no O(R) post-scan, no O(R*T) per-thread arrays.
+  std::vector<std::vector<std::uint32_t>> thread_roots(static_cast<std::size_t>(ctx.T));
+  ctx.team.run([&](int t) {
+    auto& my_roots = thread_roots[static_cast<std::size_t>(t)];
+    for (std::size_t i = id_bounds[static_cast<std::size_t>(t)];
+         i < id_bounds[static_cast<std::size_t>(t) + 1]; ++i) {
+      const std::uint32_t root = final_dsu.find(static_cast<std::uint32_t>(i));
+      labels[i] = root;
+      const std::uint32_t prev =
+          std::atomic_ref<std::uint32_t>(sizes[root]).fetch_add(1, std::memory_order_relaxed);
+      if (prev == 0) my_roots.push_back(root);
     }
   });
-  const double run_wall_s = run_timer.seconds();
-  if (config.progress) {
-    prog.finish();
-    prog.set_enabled(false);
+  std::vector<std::uint32_t> roots;
+  for (auto& tr_roots : thread_roots) {
+    roots.insert(roots.end(), tr_roots.begin(), tr_roots.end());
   }
-  if (packed_store.is_open() && packed_is_temp) {
-    // Drop the in-memory arena before assembling the result so its pages
-    // are returned (and the packed mem subsystem credited) inside the run.
-    packed_store = io::PackedStore();
+  if (check::enabled()) {
+    // The per-root size counts must conserve the read count: every read
+    // labeled once.
+    std::uint64_t labeled = 0;
+    for (std::uint32_t root : roots) labeled += sizes[root];
+    check::verify_size_conservation(labeled, R, "MergeCC flatten component sizes");
   }
-
-  // ---- Assemble the result. ----
-  PipelineResult result;
-  result.num_reads = R;
-  result.labels = std::move(final_labels);
-  result.passes_used = S;
-  result.largest_root = largest_root_shared;
-  {
-    std::vector<std::uint64_t> sizes(R, 0);
-    for (std::uint32_t l : result.labels) ++sizes[l];
-    std::vector<std::uint64_t> nonzero;
-    for (std::uint64_t v : sizes) {
-      if (v > 0) nonzero.push_back(v);
+  // Bin before the partial sort below: on the root order that sort leaves,
+  // binning XL-mini into 8 bins took ~5 ms instead of ~3 ms.
+  if (ctx.config.output_bins >= 1) {
+    // Component weights in estimated bp: reads * mean bases per read
+    // (per-read lengths are not in the index; DESIGN.md documents the
+    // proxy).  128-bit intermediate so huge datasets cannot overflow.
+    cc.binned.reserve(roots.size());
+    for (std::uint32_t root : roots) {
+      part::Component comp;
+      comp.root = root;
+      comp.reads = sizes[root];
+      comp.weight_bp = static_cast<std::uint64_t>(
+          static_cast<unsigned __int128>(sizes[root]) * ctx.index.total_bases / R);
+      cc.binned.push_back(comp);
     }
-    result.num_components = nonzero.size();
-    result.largest_size = R > 0 ? sizes[result.largest_root] : 0;
-    result.largest_fraction =
-        R > 0 ? static_cast<double>(result.largest_size) / static_cast<double>(R) : 0.0;
-    std::sort(nonzero.begin(), nonzero.end(), std::greater<>());
-    nonzero.resize(std::min<std::size_t>(nonzero.size(), 10));
-    result.top_component_sizes = std::move(nonzero);
+    cc.bin_plan = part::greedy_bin_pack(cc.binned, ctx.config.output_bins);
+    cc.root_table = part::make_root_slot_table(cc.binned, cc.bin_plan);
   }
-  for (auto& rs : shared) {
+  // The largest roots by component size, ties by root (a partial
+  // selection): the top-N split's roots and the reported sizes.
+  const auto top_n = static_cast<std::size_t>(std::max(1, ctx.config.output_top_components));
+  const std::size_t take = std::min(std::max(top_n, kReportedSizes), roots.size());
+  std::partial_sort(roots.begin(), roots.begin() + static_cast<std::ptrdiff_t>(take), roots.end(),
+                    [&](std::uint32_t a, std::uint32_t b) {
+                      return sizes[a] != sizes[b] ? sizes[a] > sizes[b] : a < b;
+                    });
+  cc.count = roots.size();
+  cc.top_roots.assign(top_n, kNoRoot);
+  for (std::size_t i = 0; i < std::min(top_n, take); ++i) cc.top_roots[i] = roots[i];
+  for (std::size_t i = 0; i < std::min(kReportedSizes, take); ++i)
+    cc.top_sizes.push_back(sizes[roots[i]]);
+}
+
+/// What CC-I/O routes a read by: its label from this rank's slice, then
+/// the root -> output slot table.  The top-N split's table holds only the
+/// top roots; every other root goes to other_slot (".other").
+struct Routing {
+  std::vector<std::uint32_t> label_slice;  ///< labels of this rank's slice
+  part::RootSlotTable table;
+  std::uint16_t other_slot = part::RootSlotTable::kNoSlot;
+};
+
+/// The label broadcast of §3.6 ("The global components list in Rank 0 is
+/// broadcast to all other tasks"), scaled: each rank receives only the
+/// label slice covering its own chunk ranges plus the compact routing
+/// tables, O(R/P + #components) per rank instead of O(R).  @p cc is rank
+/// 0's components and null on every other rank.
+Routing scatter_labels(PassCtx& ctx, const RunPlan& plan, Components* cc) {
+  const int p = ctx.p, P = ctx.P;
+  const bool bin_mode = ctx.config.output_bins >= 1;
+  Routing routing;
+  routing.label_slice.resize(plan.slice_len[static_cast<std::size_t>(p)]);
+  part::RootSlotTable& table = routing.table;
+  std::vector<std::uint32_t> top_roots(
+      static_cast<std::size_t>(std::max(1, ctx.config.output_top_components)), kNoRoot);
+  if (cc != nullptr) {
+    top_roots = cc->top_roots;
+    if (bin_mode) table = std::move(cc->root_table);
+  }
+  {
+    // Rank 0 only sends here; its time is not charged to Merge-Comm.
+    obs::TraceSpan span("Merge-Comm");
+    WallTimer timer;
+    std::vector<std::uint64_t> byte_off(plan.slice_off), byte_len(plan.slice_len);
+    for (std::size_t q = 0; q < byte_off.size(); ++q) {
+      byte_off[q] *= sizeof(std::uint32_t);
+      byte_len[q] *= sizeof(std::uint32_t);
+    }
+    ctx.comm.scatterv(cc != nullptr ? cc->labels.data() : nullptr, byte_off, byte_len,
+                      routing.label_slice.data(), 0);
+    ctx.comm.broadcast(top_roots.data(), top_roots.size() * sizeof(std::uint32_t), 0);
+    if (bin_mode && P > 1) {
+      std::uint64_t ncomp = table.roots.size();
+      ctx.comm.broadcast(&ncomp, sizeof(ncomp), 0);
+      table.roots.resize(ncomp);
+      table.slots.resize(ncomp);
+      if (ncomp > 0) {
+        ctx.comm.broadcast(table.roots.data(), ncomp * sizeof(std::uint32_t), 0);
+        ctx.comm.broadcast(table.slots.data(), ncomp * sizeof(std::uint16_t), 0);
+      }
+    }
+    if (p != 0) ctx.my.times.add("Merge-Comm", timer.seconds());
+  }
+  if (!bin_mode) {
+    // Top-N split: slot j holds the j-th largest component.
+    std::vector<part::Component> top;
+    part::BinPlan slots;
+    for (std::uint16_t j = 0; j < top_roots.size() && top_roots[j] != kNoRoot; ++j) {
+      top.push_back(part::Component{.root = top_roots[j]});
+      slots.slot_of.push_back(j);
+    }
+    routing.other_slot = static_cast<std::uint16_t>(top.size());
+    table = part::make_root_slot_table(top, slots);
+  }
+  phase_boundary(ctx, "MergeCC");
+  return routing;
+}
+
+/// CC-I/O (§3.6): each thread re-reads its FASTQ chunks and writes every
+/// read to its slot's per-thread output file.  The top-N split opens all of
+/// its files up front; bin files open on first use, so no bin file is
+/// empty.  Labels come from the scattered slice, indexed relative to this
+/// rank's slice offset @p slice_off.
+void write_partitions(PassCtx& ctx, const Routing& routing, std::uint64_t slice_off) {
+  const MetaprepConfig& config = ctx.config;
+  const DatasetIndex& index = ctx.index;
+  const int p = ctx.p;
+  const bool bin_mode = config.output_bins >= 1;
+  const std::size_t nslots = bin_mode ? static_cast<std::size_t>(config.output_bins)
+                                      : static_cast<std::size_t>(routing.other_slot) + 1;
+  progress_phase(ctx, "CC-I/O");
+  {
+    const StepScope step(ctx.my.times, "CC-I/O");
+    ctx.my.written.resize(static_cast<std::size_t>(ctx.T));
+    ctx.team.run([&](int t) {
+      if (ctx.ca.thread_begin(p, t) >= ctx.ca.thread_end(p, t)) return;
+      const std::string base = config.output_dir + "/" + index.name + ".p" + std::to_string(p) +
+                               ".t" + std::to_string(t);
+      auto& files = ctx.my.written[static_cast<std::size_t>(t)];
+      std::vector<std::unique_ptr<io::FastqWriter>> writers;
+      std::vector<std::size_t> writer_of(nslots, static_cast<std::size_t>(-1));
+      auto writer = [&](std::uint16_t slot) -> std::size_t {
+        std::size_t& w = writer_of[slot];
+        if (w == static_cast<std::size_t>(-1)) {
+          const std::string suffix = bin_mode                     ? ".b" + std::to_string(slot)
+                                     : slot == routing.other_slot ? ".other"
+                                     : config.output_top_components <= 1 ? ".lc"
+                                                                   : ".c" + std::to_string(slot);
+          files.emplace_back(part::BinFile{base + suffix + ".fastq", 0}, slot);
+          writers.push_back(std::make_unique<io::FastqWriter>(files.back().first.path));
+          w = writers.size() - 1;
+        }
+        return w;
+      };
+      if (!bin_mode) {
+        for (std::size_t slot = 0; slot < nslots; ++slot) writer(static_cast<std::uint16_t>(slot));
+      }
+
+      for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
+        util::throw_if_cancelled(config.cancel_token, "CC-I/O chunk");
+        const ChunkRecord& chunk = index.part.chunks[c];
+        const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
+        const obs::MemCharge io_mem("io", buffer.size());
+        std::uint32_t read_id = chunk.first_read_id;
+        io::ParseOptions popt{config.parse_mode, index.files[chunk.file], chunk.offset,
+                              [&read_id] { ++read_id; }};
+        io::for_each_record_in_buffer(
+            std::string_view(buffer.data(), buffer.size()),
+            [&](std::string_view id, std::string_view seq, std::string_view qual) {
+              const std::uint16_t slot =
+                  routing.table.slot_of(routing.label_slice[read_id - slice_off]);
+              const std::size_t w =
+                  writer(slot == part::RootSlotTable::kNoSlot ? routing.other_slot : slot);
+              writers[w]->write(id, seq, qual);
+              ++files[w].first.records;
+              ++read_id;
+            },
+            popt);
+        obs::Progress::global().chunk_done();
+      }
+      // Explicit close so a failed flush (e.g. ENOSPC) surfaces as a typed
+      // Error instead of being swallowed by the destructor.
+      for (auto& w : writers) w->close();
+    });
+  }
+  phase_boundary(ctx, "CC-I/O");
+}
+
+/// Fold the ranks' accounting, rank 0's components and the world's traffic
+/// into the result, and write the bin manifest.
+PipelineResult assemble_result(const DatasetIndex& index, const MetaprepConfig& config,
+                               const RunPlan& plan, RunState& run) {
+  const bool bin_mode = config.output_bins >= 1;
+  Components& cc = run.components;
+  PipelineResult result;
+  result.num_reads = plan.R;
+  result.passes_used = plan.S;
+  result.labels = std::move(cc.labels);
+  result.num_components = cc.count;
+  if (!cc.top_sizes.empty()) {
+    result.largest_root = cc.top_roots[0];
+    result.largest_size = cc.top_sizes[0];
+    result.largest_fraction =
+        static_cast<double>(result.largest_size) / static_cast<double>(plan.R);
+  }
+  result.top_component_sizes = std::move(cc.top_sizes);
+  std::vector<part::BinFile> bin_files;
+  std::vector<std::uint16_t> file_bins;
+  for (RankShared& rs : run.ranks) {
     result.step_times.merge_max(rs.times);
     result.rank_times.push_back(rs.times);
     result.total_tuples += rs.tuples;
     result.merge_comm_bytes += rs.merge_comm_bytes;
     result.max_tuple_buffer_bytes = std::max(result.max_tuple_buffer_bytes, rs.max_buffer_bytes);
-    for (auto& f : rs.output_files) result.output_files.push_back(std::move(f));
     result.cc_iterations_max = std::max(result.cc_iterations_max, rs.cc_iterations);
     result.records_skipped += rs.records_skipped;
     result.exchange_bytes += rs.exchange_bytes;
     result.exchange_bytes_raw += rs.exchange_bytes_raw;
     result.superkmer_records += rs.superkmer_records;
+    for (const auto& thread_files : rs.written) {
+      for (const auto& [file, slot] : thread_files) {
+        result.output_files.push_back(file.path);
+        bin_files.push_back(file);
+        file_bins.push_back(slot);
+      }
+    }
   }
   if (result.exchange_bytes_raw > 0) {
     result.superkmer_ratio = static_cast<double>(result.exchange_bytes) /
@@ -1812,146 +1774,178 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   if (config.read_store == ReadStore::kPacked) {
     // The arena recorded every skip at ingest; the scans saw none.  Text
     // mode accumulated the same distinct-record count from pass 1.
-    result.records_skipped = packed_stats.skipped;
-    result.packed_ingest_seconds = packed_ingest_s;
-    result.packed_store_bytes = packed_stats.file_bytes;
-    result.step_times.add("PackedIngest", packed_ingest_s);
+    result.records_skipped = run.packed.skipped;
+    result.packed_ingest_seconds = run.ingest_times.get("PackedIngest");
+    result.packed_store_bytes = run.packed.file_bytes;
+    result.step_times.merge(run.ingest_times);
   }
-  result.traffic_matrix = world.traffic_matrix();
-  result.message_matrix = world.message_matrix();
-  result.total_traffic_bytes = world.total_traffic_bytes();
-  result.message_count = world.message_count();
-  result.sim_comm_seconds = world.max_simulated_comm_seconds();
+  result.traffic_matrix = run.world.traffic_matrix();
+  result.message_matrix = run.world.message_matrix();
+  result.total_traffic_bytes = run.world.total_traffic_bytes();
+  result.message_count = run.world.message_count();
+  result.sim_comm_seconds = run.world.max_simulated_comm_seconds();
 
   // Merge/output tail accounting: what the label scatter actually shipped
   // cross-rank (rank 0 keeps its own slice) and, in bin mode, the compact
   // root->bin table broadcast — O(R/P + #components) per rank versus the
   // old O(R) full-label broadcast.
-  for (int q = 1; q < P; ++q) {
-    result.label_scatter_bytes += slice_len[static_cast<std::size_t>(q)] * sizeof(std::uint32_t);
+  for (std::size_t q = 1; q < plan.slice_len.size(); ++q) {
+    result.label_scatter_bytes += plan.slice_len[q] * sizeof(std::uint32_t);
   }
-  if (bin_mode) {
-    if (P > 1) {
+  if (bin_mode && plan.R > 0) {
+    if (plan.P > 1) {
       const std::uint64_t table_bytes =
           sizeof(std::uint64_t) +
-          components_shared.size() * (sizeof(std::uint32_t) + sizeof(std::uint16_t));
-      result.root_table_bytes = static_cast<std::uint64_t>(P - 1) * table_bytes;
+          cc.binned.size() * (sizeof(std::uint32_t) + sizeof(std::uint16_t));
+      result.root_table_bytes = static_cast<std::uint64_t>(plan.P - 1) * table_bytes;
     }
-    result.bin_reads = bin_plan_shared.bin_reads;
-    result.bin_weights_bp = bin_plan_shared.bin_weight_bp;
-    result.bin_skew = bin_plan_shared.skew();
+    result.bin_reads = cc.bin_plan.bin_reads;
+    result.bin_weights_bp = cc.bin_plan.bin_weight_bp;
+    result.bin_skew = cc.bin_plan.skew();
     if (config.write_output) {
-      std::vector<part::BinFile> all_files;
-      std::vector<std::uint16_t> all_bins;
-      for (auto& rs : shared) {
-        for (std::size_t j = 0; j < rs.bin_files.size(); ++j) {
-          all_files.push_back(std::move(rs.bin_files[j]));
-          all_bins.push_back(rs.bin_file_bins[j]);
-        }
-      }
       const part::BinManifest manifest = part::build_bin_manifest(
-          index.name, R, components_shared, bin_plan_shared, all_files, all_bins);
+          index.name, plan.R, cc.binned, cc.bin_plan, bin_files, file_bins);
       result.bin_manifest_path = config.output_dir + "/" + index.name + ".bins.json";
       part::save_bin_manifest(manifest, result.bin_manifest_path);
     }
   }
-  {
-    obs::MetricsRegistry& m = obs::metrics();
-    m.counter("part.label_scatter_bytes").add(result.label_scatter_bytes);
-    m.counter("part.root_table_bytes").add(result.root_table_bytes);
-    m.counter("comm.alltoallv_bytes").add(result.exchange_bytes);
-    m.counter("comm.alltoallv_bytes_raw").add(result.exchange_bytes_raw);
-    m.counter("comm.superkmer_records").add(result.superkmer_records);
-    if (result.exchange_bytes_raw > 0)
-      m.gauge("comm.superkmer_ratio").set(result.superkmer_ratio);
-  }
+  return result;
+}
 
-  // ---- Performance attribution (src/obs/attr): whenever the run was
-  // traced, fold the span analysis, the comm matrices, and the measured-vs-
-  // modeled memory reconciliation into one AttrReport. ----
+/// Performance attribution (src/obs/attr): whenever the run was traced,
+/// fold the span analysis, the comm matrices, and the measured-vs-modeled
+/// memory reconciliation into one AttrReport.
+void attribute(PipelineResult& result, const ObsScope& scope, const RunPlan& plan,
+               const RunState& run) {
+  if (!scope.traced) return;
+  obs::AttrReport ar = obs::PhaseAccountant::analyze(scope.tr.snapshot(), run.wall_s * 1e6);
+  ar.ranks = plan.P;
+  ar.threads = plan.T;
+  ar.passes = plan.S;
+  ar.comm_ranks = plan.P;
+  ar.comm_bytes = result.traffic_matrix;
+  ar.comm_msgs = result.message_matrix;
+  ar.comm_skew = obs::comm_matrix_skew(result.traffic_matrix, plan.P);
+  ar.peak_rss_bytes = util::peak_rss_bytes();
+  ar.rss_samples = run.ranks[0].rss_samples;
+  // The model predicts bytes per task; the registry measures the whole
+  // process hosting all P ranks, so predictions scale by P.  "sort" and
+  // "pool" have no model term and report measured-only.
+  const MemoryBreakdown pred = estimate_memory(plan.mm);
+  const auto up = static_cast<std::uint64_t>(plan.P);
+  for (const auto& [name, usage] : scope.mem.snapshot()) {
+    obs::MemSubsystem ms;
+    ms.name = name;
+    ms.high_water_bytes =
+        usage.high_water > 0 ? static_cast<std::uint64_t>(usage.high_water) : 0;
+    if (name == "tuples") {
+      ms.predicted_bytes = (pred.kmer_out + pred.kmer_in) * up;
+    } else if (name == "dsu") {
+      ms.predicted_bytes = (pred.p_array + pred.p_prime) * up;
+    } else if (name == "io") {
+      ms.predicted_bytes = pred.fastq_buffer * up;
+    }
+    ar.memory.push_back(std::move(ms));
+  }
+  ar.mem_predicted_total = pred.total * up;
+  result.has_attr = true;
+  result.attr = std::move(ar);
+}
+
+/// Publish the run-level metrics and write every artifact the config names.
+void export_artifacts(const ObsScope& scope, const PipelineResult& result, int P) {
+  const MetaprepConfig& config = scope.config;
+  obs::MetricsRegistry& m = scope.metrics;
   const double comm_skew = obs::comm_matrix_skew(result.traffic_matrix, P);
-  if (traced_run) {
-    obs::AttrReport ar = obs::PhaseAccountant::analyze(tr.snapshot(), run_wall_s * 1e6);
-    ar.ranks = P;
-    ar.threads = T;
-    ar.passes = S;
-    ar.comm_ranks = P;
-    ar.comm_bytes = result.traffic_matrix;
-    ar.comm_msgs = result.message_matrix;
-    ar.comm_skew = comm_skew;
-    ar.peak_rss_bytes = util::peak_rss_bytes();
-    ar.rss_samples = shared[0].rss_samples;
-    // The model predicts bytes per task; the registry measures the whole
-    // process hosting all P ranks, so predictions scale by P.  "sort" and
-    // "pool" have no model term and report measured-only.
-    const MemoryBreakdown pred = estimate_memory(mm);
-    const auto up = static_cast<std::uint64_t>(P);
-    for (const auto& [name, usage] : memreg.snapshot()) {
-      obs::MemSubsystem ms;
-      ms.name = name;
-      ms.high_water_bytes =
-          usage.high_water > 0 ? static_cast<std::uint64_t>(usage.high_water) : 0;
-      if (name == "tuples") {
-        ms.predicted_bytes = (pred.kmer_out + pred.kmer_in) * up;
-      } else if (name == "dsu") {
-        ms.predicted_bytes = (pred.p_array + pred.p_prime) * up;
-      } else if (name == "io") {
-        ms.predicted_bytes = pred.fastq_buffer * up;
+  const auto peak_rss = static_cast<double>(util::peak_rss_bytes());
+  m.counter("part.label_scatter_bytes").add(result.label_scatter_bytes);
+  m.counter("part.root_table_bytes").add(result.root_table_bytes);
+  m.counter("comm.alltoallv_bytes").add(result.exchange_bytes);
+  m.counter("comm.alltoallv_bytes_raw").add(result.exchange_bytes_raw);
+  m.counter("comm.superkmer_records").add(result.superkmer_records);
+  if (result.exchange_bytes_raw > 0) m.gauge("comm.superkmer_ratio").set(result.superkmer_ratio);
+  m.gauge("pipeline.passes").set(static_cast<double>(result.passes_used));
+  m.gauge("pipeline.components").set(static_cast<double>(result.num_components));
+  m.gauge("pipeline.largest_fraction").set(result.largest_fraction);
+  m.gauge("pipeline.max_tuple_buffer_bytes")
+      .set_max(static_cast<double>(result.max_tuple_buffer_bytes));
+  m.gauge("pipeline.cc_iterations_max").set_max(static_cast<double>(result.cc_iterations_max));
+  m.gauge("mpsim.sim_comm_seconds").set_max(result.sim_comm_seconds);
+  m.gauge("mem.rss_peak").set_max(peak_rss);
+  m.gauge("proc.peak_rss_bytes").set_max(peak_rss);
+  // Comm-matrix export as metrics: the off-diagonal byte cells land in one
+  // histogram (the distribution is what skew summarizes) plus the skew
+  // gauge, so metrics-only consumers see the exchange shape too.
+  if (m.enabled() && P > 1) {
+    obs::Histogram& h = m.histogram("mpsim.comm_matrix");
+    for (int i = 0; i < P; ++i) {
+      for (int j = 0; j < P; ++j) {
+        if (i == j) continue;
+        const std::uint64_t v = result.traffic_matrix[static_cast<std::size_t>(i) * P + j];
+        if (v > 0) h.record(v);
       }
-      ar.memory.push_back(std::move(ms));
     }
-    ar.mem_predicted_total = pred.total * up;
-    result.has_attr = true;
-    result.attr = std::move(ar);
+    m.gauge("mpsim.comm_matrix_skew").set_max(comm_skew);
   }
+  for (const auto& ms : result.attr.memory) {
+    m.gauge("mem." + ms.name + ".high_water").set_max(static_cast<double>(ms.high_water_bytes));
+  }
+  if (!config.metrics_out.empty()) m.write_jsonl(config.metrics_out);
+  if (!config.attr_out.empty()) result.attr.write_json(config.attr_out);
+  if (!config.comm_matrix_out.empty()) {
+    write_comm_matrix(config.comm_matrix_out, P, result.traffic_matrix, result.message_matrix,
+                      comm_skew);
+  }
+  if (!config.trace_out.empty()) scope.tr.write_chrome_json(config.trace_out);
+  scope.tr.flush();  // no-op unless the session has an armed flush path
+}
 
-  // Publish run-level metrics and export the requested artifacts.
-  {
-    obs::MetricsRegistry& m = obs::metrics();
-    m.gauge("pipeline.passes").set(static_cast<double>(result.passes_used));
-    m.gauge("pipeline.components").set(static_cast<double>(result.num_components));
-    m.gauge("pipeline.largest_fraction").set(result.largest_fraction);
-    m.gauge("pipeline.max_tuple_buffer_bytes")
-        .set_max(static_cast<double>(result.max_tuple_buffer_bytes));
-    m.gauge("pipeline.cc_iterations_max")
-        .set_max(static_cast<double>(result.cc_iterations_max));
-    m.gauge("mpsim.sim_comm_seconds").set_max(result.sim_comm_seconds);
-    m_rss.set_max(static_cast<double>(util::peak_rss_bytes()));
-    m_peak.set_max(static_cast<double>(util::peak_rss_bytes()));
-    // Comm-matrix export as metrics: the off-diagonal byte cells land in one
-    // histogram (the distribution is what skew summarizes) plus the skew
-    // gauge, so metrics-only consumers see the exchange shape too.
-    if (m.enabled() && P > 1) {
-      obs::Histogram& h = m.histogram("mpsim.comm_matrix");
-      for (int i = 0; i < P; ++i) {
-        for (int j = 0; j < P; ++j) {
-          if (i == j) continue;
-          const std::uint64_t v = result.traffic_matrix[static_cast<std::size_t>(i) * P + j];
-          if (v > 0) h.record(v);
-        }
+}  // namespace
+
+CommCompress parse_comm_compress(const std::string& name) {
+  if (name == "none") return CommCompress::kNone;
+  if (name == "superkmer") return CommCompress::kSuperKmer;
+  throw util::config_error("--comm-compress must be 'none' or 'superkmer' (got '" + name +
+                           "')");
+}
+
+PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& config) {
+  validate(index, config);
+  const RunPlan plan(index, config);
+  const ObsScope scope(config, plan);
+  RunState run{.world = mpsim::World(plan.P, config.cost_model),
+               .ranks = std::vector<RankShared>(static_cast<std::size_t>(plan.P))};
+  const WallTimer run_timer;
+  // An empty dataset runs no step and writes no output file; its result
+  // and artifacts report zero components.
+  if (plan.R > 0) {
+    const io::PackedStore packed = packed_ingest(index, config, plan, run);
+    run.world.run([&](mpsim::Comm& comm) {
+      const int p = comm.rank();
+      obs::TraceSession::set_thread_identity(p, 0);
+      ThreadTeam team(plan.T);
+      dsu::AtomicDSU local_cc(plan.R);
+      PassCtx ctx{index, config, plan.passes, plan.ca, comm, team, local_cc,
+                  run.ranks[static_cast<std::size_t>(p)], packed.is_open() ? &packed : nullptr,
+                  p, plan.P, plan.T, plan.S};
+      if (config.comm_compress == CommCompress::kSuperKmer) {
+        run_passes(ctx, SuperKmerCodec(ctx, plan.cplan));
+      } else {
+        run_passes(ctx, FixedTupleCodec(ctx));
       }
-      m.gauge("mpsim.comm_matrix_skew").set_max(comm_skew);
-    }
-    if (result.has_attr) {
-      for (const auto& ms : result.attr.memory) {
-        m.gauge("mem." + ms.name + ".high_water")
-            .set_max(static_cast<double>(ms.high_water_bytes));
+      {
+        std::vector<std::uint32_t> merged = merge_components(ctx);
+        if (p == 0) flatten_and_rank(ctx, std::move(merged), run.components);
       }
-    }
-    if (!config.metrics_out.empty()) {
-      m.write_jsonl(config.metrics_out);
-      m.set_enabled(metrics_were_enabled);
-    }
-    if (!config.attr_out.empty()) result.attr.write_json(config.attr_out);
-    if (!config.comm_matrix_out.empty()) {
-      write_comm_matrix(config.comm_matrix_out, P, result.traffic_matrix,
-                        result.message_matrix, comm_skew);
-    }
-    if (!config.trace_out.empty()) tr.write_chrome_json(config.trace_out);
-    tr.flush();  // no-op unless the session has an armed flush path
-    if (want_trace && !trace_was_enabled) tr.disable();
-    if (traced_run && !mem_was_enabled) memreg.set_enabled(false);
+      const Routing routing = scatter_labels(ctx, plan, p == 0 ? &run.components : nullptr);
+      if (config.write_output)
+        write_partitions(ctx, routing, plan.slice_off[static_cast<std::size_t>(p)]);
+    });
+    run.wall_s = run_timer.seconds();
   }
+  PipelineResult result = assemble_result(index, config, plan, run);
+  attribute(result, scope, plan, run);
+  export_artifacts(scope, result, plan.P);
   return result;
 }
 

@@ -130,7 +130,7 @@ bool AtomicDSU::unite(std::uint32_t a, std::uint32_t b) {
 bool AtomicDSU::unite_once(std::uint32_t a, std::uint32_t b) {
   std::uint32_t ra = find(a);
   std::uint32_t rb = find(b);
-  if (ra == rb) return true;
+  if (ra == rb) return false;
   if (ra > rb) std::swap(ra, rb);
   std::uint32_t expected = ra;
   const bool merged =
@@ -166,7 +166,8 @@ void AtomicDSU::verify_forest(const char* what) const {
 }
 
 int process_edges_algorithm1(AtomicDSU& dsu,
-                             std::span<const std::pair<std::uint32_t, std::uint32_t>> edges) {
+                             std::span<const std::pair<std::uint32_t, std::uint32_t>> edges,
+                             std::uint64_t* links) {
   // Algorithm 1: E_in starts as all edges; every edge that performed a Union
   // (or whose single-try union was contended) goes into E_out for the next
   // iteration, where it is re-verified with fresh Finds.
@@ -180,7 +181,7 @@ int process_edges_algorithm1(AtomicDSU& dsu,
       const std::uint32_t ru = dsu.find(u);
       const std::uint32_t rv = dsu.find(v);
       if (ru != rv) {
-        dsu.unite_once(ru, rv);
+        if (dsu.unite_once(ru, rv) && links != nullptr) ++*links;
         out.emplace_back(u, v);  // re-verify next iteration (race condition)
       }
     }

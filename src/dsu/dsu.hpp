@@ -124,8 +124,8 @@ class AtomicDSU {
   bool unite(std::uint32_t a, std::uint32_t b);
 
   /// Single-attempt union used by Algorithm 1: one CAS try, no retry.
-  /// Returns true if the CAS succeeded or the roots were already equal;
-  /// false means "contended, re-verify later".
+  /// Returns true iff this call linked two distinct roots; false means the
+  /// roots were already equal or the CAS was contended (re-verify later).
   bool unite_once(std::uint32_t a, std::uint32_t b);
 
   /// Snapshot of parent pointers (quiescent use only).
@@ -159,8 +159,10 @@ class AtomicDSU {
 /// all edges; edges whose union succeeded are buffered and re-verified in
 /// subsequent iterations until no verification produces further work.
 /// Returns the number of iterations executed (the paper observes the total
-/// time is dominated by the first).
+/// time is dominated by the first).  Adds the unions that linked two
+/// distinct roots to @p links when it is non-null.
 int process_edges_algorithm1(AtomicDSU& dsu,
-                             std::span<const std::pair<std::uint32_t, std::uint32_t>> edges);
+                             std::span<const std::pair<std::uint32_t, std::uint32_t>> edges,
+                             std::uint64_t* links = nullptr);
 
 }  // namespace metaprep::dsu

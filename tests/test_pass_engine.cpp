@@ -101,10 +101,11 @@ TEST(GoldenBarrier, PackedStoreLabelsBitIdentical) {
 // find path length (dsu.find_path_length) follows the exact sequence of
 // finds and links.  The values below were recorded with the stable LSD
 // LocalSort at P=2 T=1 S=2 — T=1 because two threads of one rank race on
-// the shared DSU, so at T=2 the edge count itself varies from run to run.
-// The lenient leg parses a copy whose records 5 and 40 lost their header
-// after indexing, so the fixed-tuple exchange pads the gaps with sentinel
-// tuples.
+// the shared DSU, so at T=2 the finds vary from run to run.  The edge
+// count does not: it counts only the links that joined two roots, which is
+// each rank's component reduction at any T.  The lenient leg parses a copy
+// whose records 5 and 40 lost their header after indexing, so the
+// fixed-tuple exchange pads the gaps with sentinel tuples.
 
 /// Flip the header '@' of @p records to '#' in place (same byte length, so
 /// the index's chunk offsets stay valid).
@@ -167,6 +168,12 @@ TEST(UnionOrderPin, LenientSentinelsMatchStableLsdRecord) {
   EXPECT_EQ(u.cc_edges, 420u);
   EXPECT_EQ(u.cc_iterations_max, 2);
   EXPECT_EQ(u.find_steps, 21785u);
+}
+
+TEST(UnionOrderPin, TwoThreadEdgeCountIsDeterministic) {
+  for (int run = 0; run < 20; ++run) {
+    EXPECT_EQ(union_order_run(io::ParseMode::kStrict, 2).cc_edges, 420u) << "run " << run;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/index_create.hpp"
@@ -179,6 +183,14 @@ TEST(Pipeline, ImpossibleBudgetThrows) {
 TEST(Pipeline, MismatchedKThrows) {
   Fixture fixture(15, 100);
   auto cfg = base_config(21, fixture.dir.str());
+  EXPECT_THROW(run_metaprep(fixture.index, cfg), metaprep::util::Error);
+}
+
+TEST(Pipeline, TopNBeyondSlotTableThrows) {
+  // CC-I/O routes the top-N split through a 16-bit root -> slot table.
+  Fixture fixture(15, 20);
+  auto cfg = base_config(15, fixture.dir.str());
+  cfg.output_top_components = 0xFFFF;
   EXPECT_THROW(run_metaprep(fixture.index, cfg), metaprep::util::Error);
 }
 
@@ -392,6 +404,193 @@ TEST(Pipeline, TopNLargerThanComponentCountIsSafe) {
   EXPECT_EQ(records, 2ull * r.num_reads);
 }
 
+// ---------------------------------------------------------------------------
+// Output-tail pin.  Every file CC-I/O leaves on disk at P=2 T=2, by name,
+// FASTQ record count and FNV-1a content digest, for the top-N split and the
+// binned output.  The bins.json row digests the manifest with the output
+// directory stripped from its paths.  The recorded values pin file names,
+// routing and the record order inside each file in both output modes.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// One "<file> <records> <digest>" row per file in the output directory,
+/// sorted by file name.
+std::vector<std::string> output_tail(int top_n, int bins) {
+  static Fixture fixture(15, 250, 5, 7, 6);
+  TempDir out;
+  auto cfg = base_config(15, out.str());
+  cfg.num_ranks = 2;
+  cfg.threads_per_rank = 2;
+  cfg.write_output = true;
+  cfg.output_top_components = top_n;
+  cfg.output_bins = bins;
+  const auto r = run_metaprep(fixture.index, cfg);
+
+  std::set<std::string> listed;
+  for (const auto& path : r.output_files) listed.insert(path);
+  std::vector<std::string> rows;
+  for (const auto& entry : std::filesystem::directory_iterator(out.str())) {
+    const std::string path = entry.path().string();
+    std::string text = slurp(path);
+    std::string records = "-";
+    if (entry.path().extension() == ".fastq") {
+      EXPECT_TRUE(listed.erase(path)) << path << " written but not listed";
+      records = std::to_string(std::count(text.begin(), text.end(), '\n') / 4);
+    } else {
+      EXPECT_EQ(path, r.bin_manifest_path);
+      for (std::size_t at; (at = text.find(out.str() + "/")) != std::string::npos;)
+        text.erase(at, out.str().size() + 1);
+    }
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(fnv1a(text)));
+    rows.push_back(entry.path().filename().string() + " " + records + " " + digest);
+  }
+  EXPECT_TRUE(listed.empty()) << "listed output file missing on disk";
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(OutputTailPin, TopOneSplit) {
+  EXPECT_EQ(output_tail(1, 0), (std::vector<std::string>{
+      "pipe.p0.t0.lc.fastq 95 4cec759dcf3e5667",
+      "pipe.p0.t0.other.fastq 49 9a7a40ba73e114e9",
+      "pipe.p0.t1.lc.fastq 75 61de0f12dc434af1",
+      "pipe.p0.t1.other.fastq 31 98fc543d8bd563be",
+      "pipe.p1.t0.lc.fastq 95 00f760d15f0dabf1",
+      "pipe.p1.t0.other.fastq 49 c0a74b034942492f",
+      "pipe.p1.t1.lc.fastq 75 e2473862c87a3012",
+      "pipe.p1.t1.other.fastq 31 d9197b51fbb1cda2",
+  }));
+}
+
+TEST(OutputTailPin, TopThreeSplit) {
+  EXPECT_EQ(output_tail(3, 0), (std::vector<std::string>{
+      "pipe.p0.t0.c0.fastq 95 4cec759dcf3e5667",
+      "pipe.p0.t0.c1.fastq 7 c0c566d7bee221a8",
+      "pipe.p0.t0.c2.fastq 4 1fd742e8c6054b92",
+      "pipe.p0.t0.other.fastq 38 16552a33bfc9e1a9",
+      "pipe.p0.t1.c0.fastq 75 61de0f12dc434af1",
+      "pipe.p0.t1.c1.fastq 1 9ab25961ea23a36a",
+      "pipe.p0.t1.c2.fastq 4 cb742759ecb04c8e",
+      "pipe.p0.t1.other.fastq 26 fdf01cf2c42eb62e",
+      "pipe.p1.t0.c0.fastq 95 00f760d15f0dabf1",
+      "pipe.p1.t0.c1.fastq 7 14cc9b867dafcd78",
+      "pipe.p1.t0.c2.fastq 4 90850dd9f6c151f1",
+      "pipe.p1.t0.other.fastq 38 e2cbc9fb581d152c",
+      "pipe.p1.t1.c0.fastq 75 e2473862c87a3012",
+      "pipe.p1.t1.c1.fastq 1 cd8851f5bf278aa1",
+      "pipe.p1.t1.c2.fastq 4 9246f67507d544f0",
+      "pipe.p1.t1.other.fastq 26 6a8a75ab20252a1b",
+  }));
+}
+
+TEST(OutputTailPin, TwoBins) {
+  EXPECT_EQ(output_tail(1, 2), (std::vector<std::string>{
+      "pipe.bins.json - cd542aa467f4b6b7",
+      "pipe.p0.t0.b0.fastq 95 4cec759dcf3e5667",
+      "pipe.p0.t0.b1.fastq 49 9a7a40ba73e114e9",
+      "pipe.p0.t1.b0.fastq 75 61de0f12dc434af1",
+      "pipe.p0.t1.b1.fastq 31 98fc543d8bd563be",
+      "pipe.p1.t0.b0.fastq 95 00f760d15f0dabf1",
+      "pipe.p1.t0.b1.fastq 49 c0a74b034942492f",
+      "pipe.p1.t1.b0.fastq 75 e2473862c87a3012",
+      "pipe.p1.t1.b1.fastq 31 d9197b51fbb1cda2",
+  }));
+}
+
+TEST(OutputTailPin, EightBins) {
+  EXPECT_EQ(output_tail(1, 8), (std::vector<std::string>{
+      "pipe.bins.json - 3084e8fb6bd0c283",
+      "pipe.p0.t0.b0.fastq 95 4cec759dcf3e5667",
+      "pipe.p0.t0.b1.fastq 10 3c422612204540a6",
+      "pipe.p0.t0.b2.fastq 7 f48b45429c2ff467",
+      "pipe.p0.t0.b3.fastq 6 7358697f243e1a1b",
+      "pipe.p0.t0.b4.fastq 6 45285b084579881b",
+      "pipe.p0.t0.b5.fastq 6 099105e8f0c34314",
+      "pipe.p0.t0.b6.fastq 8 8411e8dafb45ccd4",
+      "pipe.p0.t0.b7.fastq 6 a9b97425fcae67e8",
+      "pipe.p0.t1.b0.fastq 75 61de0f12dc434af1",
+      "pipe.p0.t1.b1.fastq 2 4c84173439d529b8",
+      "pipe.p0.t1.b2.fastq 5 7d4b7c66027bf1ae",
+      "pipe.p0.t1.b3.fastq 6 4b704481659719cd",
+      "pipe.p0.t1.b4.fastq 5 9eca522c115060a6",
+      "pipe.p0.t1.b5.fastq 5 24525fcc02237540",
+      "pipe.p0.t1.b6.fastq 3 d4a6d7632a74dc8c",
+      "pipe.p0.t1.b7.fastq 5 389f16c931a7fe23",
+      "pipe.p1.t0.b0.fastq 95 00f760d15f0dabf1",
+      "pipe.p1.t0.b1.fastq 10 bbb83ff20741f55e",
+      "pipe.p1.t0.b2.fastq 7 efd2c50abc558e5c",
+      "pipe.p1.t0.b3.fastq 6 c368f195e0424fe1",
+      "pipe.p1.t0.b4.fastq 6 2a3c7c3cea3b3ae5",
+      "pipe.p1.t0.b5.fastq 6 a989a82d7c7b069d",
+      "pipe.p1.t0.b6.fastq 8 8405c8fffa5ef724",
+      "pipe.p1.t0.b7.fastq 6 54a96effee4a759a",
+      "pipe.p1.t1.b0.fastq 75 e2473862c87a3012",
+      "pipe.p1.t1.b1.fastq 2 cb241b0368d58ae3",
+      "pipe.p1.t1.b2.fastq 5 72779050ffdfb103",
+      "pipe.p1.t1.b3.fastq 6 2d361aa7625872f8",
+      "pipe.p1.t1.b4.fastq 5 1c883a5b25dc3535",
+      "pipe.p1.t1.b5.fastq 5 a30872995bad87ea",
+      "pipe.p1.t1.b6.fastq 3 b6a0cee1b42e0a06",
+      "pipe.p1.t1.b7.fastq 5 4f1ce98c544daf53",
+  }));
+}
+
+TEST(Pipeline, EmptyInputExportsEveryArtifactOnce) {
+  // The empty run goes through the same export as a full one: each
+  // requested artifact is written, parses, and reports zero components,
+  // while the output directory stays empty.
+  Fixture fixture(15, 0);
+  TempDir out;
+  TempDir artifacts;
+  auto cfg = base_config(15, out.str());
+  cfg.num_ranks = 2;
+  cfg.threads_per_rank = 2;
+  cfg.write_output = true;
+  cfg.metrics_out = artifacts.file("metrics.jsonl");
+  cfg.trace_out = artifacts.file("trace.json");
+  cfg.attr_out = artifacts.file("attr.json");
+  cfg.comm_matrix_out = artifacts.file("comm.json");
+  const auto r = run_metaprep(fixture.index, cfg);
+  EXPECT_EQ(r.num_components, 0u);
+  EXPECT_TRUE(r.output_files.empty());
+  EXPECT_TRUE(std::filesystem::is_empty(out.str()));
+
+  std::set<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(artifacts.str()))
+    written.insert(entry.path().filename().string());
+  EXPECT_EQ(written,
+            (std::set<std::string>{"metrics.jsonl", "trace.json", "attr.json", "comm.json"}));
+
+  int components_rows = 0;
+  for (const util::JsonValue& line : util::parse_jsonl_file(cfg.metrics_out)) {
+    if (line.at("name").as_string() != "pipeline.components") continue;
+    ++components_rows;
+    EXPECT_EQ(line.at("value").as_number(), 0.0);
+  }
+  EXPECT_EQ(components_rows, 1);
+  EXPECT_NO_THROW((void)util::parse_json_file(cfg.trace_out));
+  const util::JsonValue attr = util::parse_json_file(cfg.attr_out);
+  EXPECT_EQ(attr.at("ranks").as_int(), 2);
+  EXPECT_EQ(attr.at("threads").as_int(), 2);
+  const util::JsonValue comm = util::parse_json_file(cfg.comm_matrix_out);
+  EXPECT_EQ(comm.at("ranks").as_int(), 2);
+  EXPECT_EQ(comm.at("bytes").as_array().size(), 2u);
+}
+
 TEST(Pipeline, StepTimesPopulated) {
   Fixture fixture(15, 150);
   auto cfg = base_config(15, fixture.dir.str());
@@ -403,24 +602,6 @@ TEST(Pipeline, StepTimesPopulated) {
   }
   // Multi-rank runs must include merge communication.
   EXPECT_GT(r.step_times.map().count("Merge-Comm"), 0u);
-}
-
-TEST(Pipeline, SortDigitWidthDoesNotChangeResult) {
-  Fixture fixture(15, 200);
-  std::vector<std::uint32_t> reference_labels;
-  for (int digits : {4, 8, 11, 16}) {
-    auto cfg = base_config(15, fixture.dir.str());
-    cfg.num_ranks = 2;
-    cfg.threads_per_rank = 2;
-    cfg.sort_digit_bits = digits;
-    const auto r = run_metaprep(fixture.index, cfg);
-    const auto normalized = test::normalize_partition(r.labels);
-    if (reference_labels.empty()) {
-      reference_labels = normalized;
-    } else {
-      EXPECT_EQ(normalized, reference_labels) << "digits=" << digits;
-    }
-  }
 }
 
 TEST(Pipeline, PartitionIndependentOfChunkCount) {
